@@ -310,25 +310,6 @@ impl SessionCore {
     }
 }
 
-/// Which tier served one step — drives the hit/fallback counters.
-/// `Fallback` marks the answer that crossed a truncated tree's frontier
-/// and materialised the live policy.
-enum StepTier {
-    Live,
-    Compiled,
-    Fallback,
-}
-
-impl StepTier {
-    fn telemetry(&self) -> telemetry::Tier {
-        match self {
-            StepTier::Live => telemetry::Tier::Live,
-            StepTier::Compiled => telemetry::Tier::Compiled,
-            StepTier::Fallback => telemetry::Tier::Fallback,
-        }
-    }
-}
-
 struct LiveSession {
     plan: Arc<PlanEntry>,
     /// The plan's registration index (what WAL events reference).
@@ -371,10 +352,7 @@ struct Counters {
     evicted: AtomicU64,
     errored: AtomicU64,
     panicked: AtomicU64,
-    steps: AtomicU64,
     pool_hits: AtomicU64,
-    compiled_hits: AtomicU64,
-    compiled_fallbacks: AtomicU64,
 }
 
 /// One slab shard: slots, free list, idle heap, stats and WAL tail, each
@@ -771,9 +749,12 @@ impl SearchEngine {
                 false,
             )?);
         }
+        // One count and one wall-clock observation for the whole recovery,
+        // on shard 0's cell (it exists even for a 1-shard engine).
+        engine.shards[0]
+            .telemetry
+            .count_op(telemetry::Op::Recover, telemetry::Tier::Live, None);
         if let Some(t) = recover_timer {
-            // One wall-clock observation for the whole recovery, on shard
-            // 0's cell (it exists even for a 1-shard engine).
             engine.shards[0].telemetry.record_duration(
                 telemetry::Op::Recover,
                 telemetry::Tier::Live,
@@ -869,18 +850,17 @@ impl SearchEngine {
         let shard = &self.shards[shard_k];
         // Compiled tier first: a hot plan serves from its flat array with no
         // policy instance and no pool traffic at all.
+        let mut opened_tier = telemetry::Tier::Live;
         let compiled =
             compiled_tree_for(self.config.compiled, &plan_entry, kind).and_then(|tree| {
                 let cursor = tree.cursor(&plan_entry.ctx(), self.config.max_queries);
                 if cursor.needs_fallback() {
                     // Truncated at the root (e.g. `max_depth` 0): nothing
                     // compiled to serve, so this session opens live.
-                    shard
-                        .counters
-                        .compiled_fallbacks
-                        .fetch_add(1, Ordering::Relaxed);
+                    opened_tier = telemetry::Tier::Fallback;
                     None
                 } else {
+                    opened_tier = telemetry::Tier::Compiled;
                     Some(SessionCore::Compiled { tree, cursor })
                 }
             });
@@ -929,11 +909,6 @@ impl SearchEngine {
             core,
             answers: Vec::new(),
             last_touch: now,
-        };
-        let opened_tier = if session.core.is_compiled() {
-            telemetry::Tier::Compiled
-        } else {
-            telemetry::Tier::Live
         };
         let local = allocate_slot(shard);
         let slot_arc = slot_arc(shard, local);
@@ -1002,20 +977,13 @@ impl SearchEngine {
             },
             |_, _| None,
         )?;
-        let shard = &self.shards[shard_k];
-        shard.counters.steps.fetch_add(1, Ordering::Relaxed);
         let tier = match &step {
             Ok((_, true)) => telemetry::Tier::Compiled,
             _ => telemetry::Tier::Live,
         };
         self.record_op(shard_k, telemetry::Op::Next, tier, kind, timer);
         match step {
-            Ok((step, compiled)) => {
-                if compiled {
-                    shard.counters.compiled_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(step)
-            }
+            Ok((step, _)) => Ok(step),
             Err(e @ CoreError::Diverged { .. }) => {
                 // The search ran out of budget: reclaim the slot. The policy
                 // itself is healthy (divergence is a budget condition), so it
@@ -1056,7 +1024,7 @@ impl SearchEngine {
                     SessionCore::Live { policy, stepper } => {
                         stepper.answer(policy.as_mut(), &plan.ctx(), yes)?;
                         answers.push(yes);
-                        StepTier::Live
+                        telemetry::Tier::Live
                     }
                     SessionCore::Compiled { tree, cursor } => {
                         cursor.answer(tree, &plan.ctx(), yes)?;
@@ -1075,9 +1043,9 @@ impl SearchEngine {
                                 answers,
                             )?;
                             *core = SessionCore::Live { policy, stepper };
-                            StepTier::Fallback
+                            telemetry::Tier::Fallback
                         } else {
-                            StepTier::Compiled
+                            telemetry::Tier::Compiled
                         }
                     }
                 };
@@ -1095,25 +1063,11 @@ impl SearchEngine {
                 })
             },
         )?;
-        let shard = &self.shards[shard_k];
-        shard.counters.steps.fetch_add(1, Ordering::Relaxed);
         let tier = match &fed {
-            Ok((_, tier)) => tier.telemetry(),
+            Ok((_, tier)) => *tier,
             Err(_) => telemetry::Tier::Live,
         };
         self.record_op(shard_k, telemetry::Op::Answer, tier, kind, timer);
-        match &fed {
-            Ok((_, StepTier::Compiled)) => {
-                shard.counters.compiled_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok((_, StepTier::Fallback)) => {
-                shard
-                    .counters
-                    .compiled_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
         fed.map_err(ServiceError::from)?;
         self.maybe_autocompact(shard_k);
         Ok(())
@@ -1253,21 +1207,18 @@ impl SearchEngine {
             degraded_since: entered.as_ref().map(|(at, _)| *at),
             degraded_reason: entered.map(|(_, reason)| reason),
         };
-        for shard in &self.shards {
-            let c = &shard.counters;
-            stats.opened += c.opened.load(Ordering::Relaxed);
-            stats.finished += c.finished.load(Ordering::Relaxed);
-            stats.cancelled += c.cancelled.load(Ordering::Relaxed);
-            stats.evicted += c.evicted.load(Ordering::Relaxed);
-            stats.errored += c.errored.load(Ordering::Relaxed);
-            stats.panicked += c.panicked.load(Ordering::Relaxed);
-            stats.steps += c.steps.load(Ordering::Relaxed);
-            stats.pool_hits += c.pool_hits.load(Ordering::Relaxed);
-            stats.compiled_hits += c.compiled_hits.load(Ordering::Relaxed);
-            stats.compiled_fallbacks += c.compiled_fallbacks.load(Ordering::Relaxed);
-            if let Some(wal) = &shard.wal {
-                stats.wal_records += wal.total_records.load(Ordering::Relaxed);
-            }
+        for row in self.stats_per_shard() {
+            stats.opened += row.opened;
+            stats.finished += row.finished;
+            stats.cancelled += row.cancelled;
+            stats.evicted += row.evicted;
+            stats.errored += row.errored;
+            stats.panicked += row.panicked;
+            stats.steps += row.steps;
+            stats.pool_hits += row.pool_hits;
+            stats.compiled_hits += row.compiled_hits;
+            stats.compiled_fallbacks += row.compiled_fallbacks;
+            stats.wal_records += row.wal_records;
         }
         stats
     }
@@ -1282,7 +1233,10 @@ impl SearchEngine {
             .iter()
             .enumerate()
             .map(|(k, shard)| {
+                use telemetry::{Op, Tier};
                 let c = &shard.counters;
+                let count = |op, tier| shard.telemetry.op_count(op, tier);
+                let step_tier = |tier| count(Op::Next, tier) + count(Op::Answer, tier);
                 ShardStats {
                     shard: k as u32,
                     live: shard.live.load(Ordering::Relaxed),
@@ -1292,10 +1246,11 @@ impl SearchEngine {
                     evicted: c.evicted.load(Ordering::Relaxed),
                     errored: c.errored.load(Ordering::Relaxed),
                     panicked: c.panicked.load(Ordering::Relaxed),
-                    steps: c.steps.load(Ordering::Relaxed),
+                    steps: telemetry::TIERS.into_iter().map(step_tier).sum(),
                     pool_hits: c.pool_hits.load(Ordering::Relaxed),
-                    compiled_hits: c.compiled_hits.load(Ordering::Relaxed),
-                    compiled_fallbacks: c.compiled_fallbacks.load(Ordering::Relaxed),
+                    compiled_hits: step_tier(Tier::Compiled),
+                    compiled_fallbacks: count(Op::Open, Tier::Fallback)
+                        + count(Op::Answer, Tier::Fallback),
                     wal_records: shard
                         .wal
                         .as_ref()
@@ -1327,10 +1282,11 @@ impl SearchEngine {
         snap
     }
 
-    /// Drains every shard's slow-op journal: operations whose wall time
-    /// crossed the `AIGS_SLOW_OP_NS` threshold (default 1 ms), oldest
-    /// first per shard. Each ring holds the 64 most recent entries;
-    /// [`TelemetrySnapshot::slow_dropped`] counts overwrites.
+    /// Drains every shard's slow-op journal: timed operations (a sample,
+    /// see [`crate::telemetry`]) whose wall time crossed the
+    /// `AIGS_SLOW_OP_NS` threshold (default 1 ms), oldest first per shard.
+    /// Each ring holds the 64 most recent entries;
+    /// [`TelemetrySnapshot::slow_dropped`] counts the older ones dropped.
     pub fn drain_slow_ops(&self) -> Vec<SlowOp> {
         let mut out = Vec::new();
         for shard in &self.shards {
@@ -1397,6 +1353,12 @@ impl SearchEngine {
                 }
             }
         }
+        let _ = writeln!(
+            out,
+            "# HELP aigs_op_duration_ns Sampled operation latency: about one op in {} per \
+             thread is timed, so _count counts samples; aigs_ops_total is exact.",
+            telemetry::SAMPLE_MEAN_GAP
+        );
         let _ = writeln!(out, "# TYPE aigs_op_duration_ns histogram");
         for (o, op) in telemetry::OPS.iter().enumerate() {
             for (t, tier) in telemetry::TIERS.iter().enumerate() {
@@ -1533,16 +1495,17 @@ impl SearchEngine {
         self.degraded.is()
     }
 
-    /// Starts an operation timer — `None` (and therefore zero overhead
-    /// downstream) when telemetry is disabled.
+    /// Starts an operation timer for a sampled operation (see
+    /// [`crate::telemetry`]) — `None`, with no clock read, for the rest
+    /// and whenever telemetry is disabled.
     #[inline]
     fn op_timer(&self) -> Option<std::time::Instant> {
-        self.telemetry_enabled.then(std::time::Instant::now)
+        (self.telemetry_enabled && telemetry::sample_next_op()).then(std::time::Instant::now)
     }
 
-    /// Records one completed operation on `shard_k`'s telemetry cell and
-    /// journals it if it crossed the slow-op threshold. No-op when
-    /// `timer` is `None` (telemetry disabled).
+    /// Counts one completed operation on `shard_k`'s telemetry cell and,
+    /// when it was timed, records its duration and journals it if it
+    /// crossed the slow-op threshold.
     #[inline]
     fn record_op(
         &self,
@@ -1552,10 +1515,30 @@ impl SearchEngine {
         kind: PolicyKind,
         timer: Option<std::time::Instant>,
     ) {
-        let Some(t) = timer else { return };
+        self.shards[shard_k]
+            .telemetry
+            .count_op(op, tier, Some(kind));
+        if let Some(t) = timer {
+            self.record_timed(shard_k, op, tier, kind, t);
+        }
+    }
+
+    /// The timed tail of [`Self::record_op`]: duration histogram and
+    /// slow-op check. Out of line and marked cold, because only about one
+    /// op in [`telemetry::SAMPLE_MEAN_GAP`] takes it.
+    #[cold]
+    #[inline(never)]
+    fn record_timed(
+        &self,
+        shard_k: usize,
+        op: telemetry::Op,
+        tier: telemetry::Tier,
+        kind: PolicyKind,
+        t: std::time::Instant,
+    ) {
         let ns = t.elapsed().as_nanos() as u64;
         let cell = &self.shards[shard_k].telemetry;
-        cell.record_op(op, tier, kind, ns);
+        cell.record_duration(op, tier, ns);
         cell.note_slow(
             self.slow_threshold_ns,
             SlowOp {
@@ -1763,7 +1746,8 @@ impl SearchEngine {
         if self.is_degraded() {
             return (0, None);
         }
-        let timer = self.op_timer();
+        // Drains are rare: time every one, not a sample.
+        let timer = self.telemetry_enabled.then(std::time::Instant::now);
         let now = self.clock.load(Ordering::Relaxed);
         let mut evicted = 0;
         let oldest = loop {
@@ -1803,7 +1787,9 @@ impl SearchEngine {
                 // Per-kind eviction counts reconcile exactly with the
                 // `evicted` counter; the drain's single latency
                 // observation is recorded below.
-                shard.telemetry.count_op(telemetry::Op::Evict, s.kind);
+                shard
+                    .telemetry
+                    .count_op(telemetry::Op::Evict, telemetry::Tier::Live, Some(s.kind));
                 s.release_policy();
                 self.release_slot(shard, local);
                 shard.counters.evicted.fetch_add(1, Ordering::Relaxed);

@@ -1,16 +1,36 @@
 //! First-class serving telemetry: cache-padded per-shard metric cells,
-//! log-bucketed latency histograms, WAL/fsync internals, per-plan
-//! realized-vs-predicted cost tracking, and a slow-op journal.
+//! exact per-operation counts, sampled log-bucketed latency histograms,
+//! WAL/fsync internals, per-plan realized-vs-predicted cost tracking, and
+//! a slow-op journal.
 //!
 //! ## Design
 //!
 //! Every shard owns one `ShardTelemetry` cell, `#[repr(align(64))]` so
 //! cells never share a cache line with a neighbour's hot counters. All
-//! recording is allocation-free and lock-free on the hot path: a
-//! histogram record is **two relaxed `fetch_add`s** (one bucket, one
-//! sum accumulator) — about the cost of bumping two plain counters — so
-//! the hooks stay on by default. Only the slow-op journal takes a mutex,
-//! and only for operations that already blew past the slowness threshold.
+//! recording is allocation-free and lock-free on the hot path. Only the
+//! slow-op journal takes a mutex, and only for timed operations that
+//! already blew past the slowness threshold.
+//!
+//! **Counts are exact, durations are sampled.** Every operation bumps one
+//! (op, tier, kind) counter — a single relaxed add, always, even with
+//! telemetry disabled, because [`crate::EngineStats`]' `steps` /
+//! `compiled_hits` / `compiled_fallbacks` are derived from those cells.
+//! Snapshots project the cube onto exact (op, tier) and (op, kind)
+//! counts. Reading the clock costs more than the whole compiled-tier
+//! step, so only about one operation in
+//! [`SAMPLE_MEAN_GAP`] per thread is timed: a `thread_local!` countdown
+//! (no atomics) draws the gap to the next timed operation uniformly from
+//! `1..=2·SAMPLE_MEAN_GAP − 1` with a fixed-seed xorshift, so a thread's
+//! sequence repeats exactly. The first operation of every thread is
+//! timed. Gaps are random rather than a fixed stride because a stride
+//! aliases with periodic traffic (a strict next/answer alternation under
+//! an even stride times only one of the two). Un-timed operations skip
+//! both clock reads, the histogram and the slow-op check. A histogram
+//! therefore holds a uniform sample of its population: its `sum / count`
+//! is an unbiased mean and its quantiles estimate the population's, but
+//! its `count` is the number of *samples* — the exact count is the
+//! (op, tier) projection. Rare operations (idle-eviction drains, recovery,
+//! fsyncs) are timed every time.
 //!
 //! Latency histograms are **log₂-bucketed**: bucket 0 holds the value 0,
 //! bucket `b` (1 ≤ b < 63) holds values in `[2^(b-1), 2^b)`, and bucket 63
@@ -22,17 +42,19 @@
 //!
 //! Recording is gated by [`crate::EngineConfig::telemetry`] (default: the
 //! `AIGS_TELEMETRY` environment variable, on unless `0`). Disabled
-//! telemetry skips the clock reads entirely; the cells still exist so
-//! snapshots are empty, not absent.
+//! telemetry skips the clock reads and every cell except the exact
+//! operation counts the engine's stats need; its snapshots are all-zero,
+//! not absent.
 //!
 //! ## What is recorded
 //!
-//! * Per **operation × serving tier** latency histograms and per
-//!   **operation × policy kind** counters, for open / next-question /
-//!   answer / finish / cancel / evict / recover. Counter totals reconcile
-//!   exactly with [`crate::EngineStats`] on an engine that has not been
-//!   through recovery (recovery restores the durable lifecycle counters
-//!   from the log; telemetry, like `steps`, restarts from zero).
+//! * Per **operation × serving tier** exact counts and sampled latency
+//!   histograms, and per **operation × policy kind** exact counts, for
+//!   open / next-question / answer / finish / cancel / evict / recover.
+//!   Count totals reconcile exactly with [`crate::EngineStats`] on an
+//!   engine that has not been through recovery (recovery restores the
+//!   durable lifecycle counters from the log; telemetry, like `steps`,
+//!   restarts from zero).
 //! * WAL internals: appended bytes, fsync batch sizes and latencies (the
 //!   group-commit thread and explicit syncs; [`aigs_data::wal::FsyncPolicy::Always`]
 //!   syncs inside the writer and is not separately timed), group-commit
@@ -43,10 +65,13 @@
 //!   policy's *predicted* expected cost
 //!   ([`crate::SearchEngine::predict_expected_cost`]) so drift between
 //!   the paper's objective and production reality is a first-class metric.
-//! * A bounded per-shard ring of [`SlowOp`] records for operations slower
-//!   than the `AIGS_SLOW_OP_NS` threshold (default 1 ms), drained with
-//!   [`crate::SearchEngine::drain_slow_ops`].
+//! * A bounded per-shard ring of [`SlowOp`] records for timed operations
+//!   slower than the `AIGS_SLOW_OP_NS` threshold (default 1 ms), drained
+//!   with [`crate::SearchEngine::drain_slow_ops`]. Like the histograms, the
+//!   journal sees only the sampled operations.
 
+use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -60,6 +85,39 @@ const SLOW_RING: usize = 64;
 
 /// Default slow-op threshold (1 ms) when `AIGS_SLOW_OP_NS` is unset.
 const DEFAULT_SLOW_OP_NS: u64 = 1_000_000;
+
+/// Mean gap, in operations, between two timed operations on one thread.
+/// Gaps are drawn uniformly from `1..=2·SAMPLE_MEAN_GAP − 1`.
+pub const SAMPLE_MEAN_GAP: u32 = 16;
+
+/// Fixed xorshift seed of every thread's sampler.
+const SAMPLER_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+thread_local! {
+    /// `(operations left to skip, xorshift state)` of this thread's
+    /// duration sampler.
+    static SAMPLER: Cell<(u32, u64)> = const { Cell::new((0, SAMPLER_SEED)) };
+}
+
+/// Whether the calling thread times its next operation: counts down the
+/// current gap and, when it runs out, draws the next one.
+#[inline]
+pub(crate) fn sample_next_op() -> bool {
+    SAMPLER.with(|s| {
+        let (left, mut x) = s.get();
+        if left > 0 {
+            s.set((left - 1, x));
+            return false;
+        }
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        // A gap of g times the g-th operation from here: skip g − 1.
+        let skip = (x % u64::from(2 * SAMPLE_MEAN_GAP - 1)) as u32;
+        s.set((skip, x));
+        true
+    })
+}
 
 /// The bucket index `value` lands in: 0 for 0, else
 /// `min(64 − leading_zeros, 63)` — so bucket `b` covers `[2^(b-1), 2^b)`
@@ -259,7 +317,8 @@ pub enum Tier {
     /// Compiled flat-array stepping.
     Compiled,
     /// The answer that crossed a truncated tree's frontier and
-    /// materialised the live policy.
+    /// materialised the live policy, or an open that found its compiled
+    /// tree truncated at the root and opened live.
     Fallback,
 }
 
@@ -375,19 +434,20 @@ pub struct SlowOp {
     pub at: u64,
 }
 
-/// Bounded ring of [`SlowOp`]s. The mutex is off the hot path: it is
-/// taken only for operations that already exceeded the threshold.
+/// Bounded ring of [`SlowOp`]s that drops its oldest entry when full. The
+/// mutex is off the hot path: it is taken only for timed operations that
+/// already exceeded the threshold.
 #[derive(Debug)]
 struct SlowJournal {
-    ring: Mutex<Vec<SlowOp>>,
-    /// Records overwritten before being drained.
+    ring: Mutex<VecDeque<SlowOp>>,
+    /// Records dropped (oldest first) before being drained.
     dropped: AtomicU64,
 }
 
 impl SlowJournal {
     fn new() -> SlowJournal {
         SlowJournal {
-            ring: Mutex::new(Vec::with_capacity(SLOW_RING)),
+            ring: Mutex::new(VecDeque::with_capacity(SLOW_RING)),
             dropped: AtomicU64::new(0),
         }
     }
@@ -395,14 +455,15 @@ impl SlowJournal {
     fn push(&self, entry: SlowOp) {
         let mut ring = self.ring.lock().expect("slow journal poisoned");
         if ring.len() >= SLOW_RING {
-            ring.remove(0);
+            ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.push(entry);
+        ring.push_back(entry);
     }
 
+    /// Takes every journaled entry, oldest first.
     fn drain(&self) -> Vec<SlowOp> {
-        std::mem::take(&mut *self.ring.lock().expect("slow journal poisoned"))
+        std::mem::take(&mut *self.ring.lock().expect("slow journal poisoned")).into()
     }
 }
 
@@ -412,13 +473,18 @@ impl SlowJournal {
 #[derive(Debug)]
 #[repr(align(64))]
 pub(crate) struct ShardTelemetry {
-    /// Whether this cell records at all (resolved once at engine
-    /// construction; a disabled cell's methods are no-ops).
+    /// Whether this cell records (resolved once at engine construction; a
+    /// disabled cell keeps only the exact `ops` counts).
     enabled: bool,
-    /// Latency histograms (nanoseconds) per operation × serving tier.
+    /// Exact operation counts per operation × serving tier × kind slot,
+    /// the last slot holding operations with no kind ([`Op::Recover`]).
+    /// One relaxed add per operation, recorded whether or not the cell is
+    /// enabled: the per-tier and per-kind counts are its two projections,
+    /// and the engine's step and tier counters derive from the first.
+    ops: [[[AtomicU64; KIND_SLOTS + 1]; TIERS.len()]; OPS.len()],
+    /// Sampled latency histograms (nanoseconds) per operation × serving
+    /// tier.
     op_tier_ns: [[Histogram; TIERS.len()]; OPS.len()],
-    /// Operation counts per operation × policy kind.
-    op_kind: [[AtomicU64; KIND_SLOTS]; OPS.len()],
     wal: WalTelemetry,
     slow: SlowJournal,
 }
@@ -427,8 +493,10 @@ impl ShardTelemetry {
     pub(crate) fn new(enabled: bool) -> ShardTelemetry {
         ShardTelemetry {
             enabled,
+            ops: std::array::from_fn(|_| {
+                std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0)))
+            }),
             op_tier_ns: std::array::from_fn(|_| std::array::from_fn(|_| Histogram::new())),
-            op_kind: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             wal: WalTelemetry::new(),
             slow: SlowJournal::new(),
         }
@@ -441,26 +509,25 @@ impl ShardTelemetry {
         self.enabled
     }
 
-    /// Records one completed operation: latency into the (op, tier)
-    /// histogram, count into the (op, kind) counter — three relaxed adds.
+    /// Counts one operation of `kind` (`None` for an operation with no
+    /// kind) exactly — one relaxed add, recorded even when the cell is
+    /// disabled.
     #[inline]
-    pub(crate) fn record_op(&self, op: Op, tier: Tier, kind: PolicyKind, ns: u64) {
-        if self.enabled {
-            self.op_tier_ns[op.index()][tier.index()].record(ns);
-            self.op_kind[op.index()][kind_slot(kind)].fetch_add(1, Ordering::Relaxed);
-        }
+    pub(crate) fn count_op(&self, op: Op, tier: Tier, kind: Option<PolicyKind>) {
+        let slot = kind.map_or(KIND_SLOTS, kind_slot);
+        self.ops[op.index()][tier.index()][slot].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Bumps the (op, kind) counter without a latency observation (used
-    /// for per-session evictions inside one timed drain).
-    #[inline]
-    pub(crate) fn count_op(&self, op: Op, kind: PolicyKind) {
-        if self.enabled {
-            self.op_kind[op.index()][kind_slot(kind)].fetch_add(1, Ordering::Relaxed);
-        }
+    /// The exact count of `op` served on `tier`, across kinds.
+    pub(crate) fn op_count(&self, op: Op, tier: Tier) -> u64 {
+        self.ops[op.index()][tier.index()]
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum()
     }
 
-    /// Records a drain/recovery latency with no per-kind attribution.
+    /// Records one timed operation's latency into its (op, tier)
+    /// histogram.
     #[inline]
     pub(crate) fn record_duration(&self, op: Op, tier: Tier, ns: u64) {
         if self.enabled {
@@ -665,8 +732,12 @@ pub struct TelemetrySnapshot {
     pub clock: u64,
     /// Shard count the cells were aggregated over.
     pub shards: u32,
-    /// Latency histograms (ns), indexed `[op][tier]` in [`OPS`] ×
+    /// Exact operation counts, indexed `[op][tier]` in [`OPS`] ×
     /// [`TIERS`] order.
+    pub op_tier_count: Vec<Vec<u64>>,
+    /// Sampled latency histograms (ns), indexed like `op_tier_count`:
+    /// each `count()` is the number of timed samples, at most the exact
+    /// count.
     pub op_tier_ns: Vec<Vec<HistSnapshot>>,
     /// Operation counts, indexed `[op][kind slot]` ([`OPS`] order × the
     /// nine kind slots).
@@ -675,7 +746,7 @@ pub struct TelemetrySnapshot {
     pub wal: WalMetrics,
     /// Per-plan realized/predicted cost rows.
     pub plans: Vec<PlanCostSnapshot>,
-    /// Slow-op journal records overwritten before being drained.
+    /// Slow-op journal records dropped, oldest first, before being drained.
     pub slow_dropped: u64,
 }
 
@@ -686,6 +757,7 @@ impl TelemetrySnapshot {
             enabled,
             clock: 0,
             shards,
+            op_tier_count: vec![vec![0; TIERS.len()]; OPS.len()],
             op_tier_ns: vec![vec![HistSnapshot::default(); TIERS.len()]; OPS.len()],
             op_kind: vec![vec![0; KIND_SLOTS]; OPS.len()],
             wal: WalMetrics::default(),
@@ -695,14 +767,25 @@ impl TelemetrySnapshot {
     }
 
     pub(crate) fn absorb_shard(&mut self, cell: &ShardTelemetry) {
+        if !cell.enabled {
+            // The exact `ops` cells still count for the engine's stats; a
+            // disabled snapshot stays all-zero.
+            return;
+        }
+        for (o, per_tier) in cell.ops.iter().enumerate() {
+            for (t, per_slot) in per_tier.iter().enumerate() {
+                for (k, count) in per_slot.iter().enumerate() {
+                    let n = count.load(Ordering::Relaxed);
+                    self.op_tier_count[o][t] += n;
+                    if k < KIND_SLOTS {
+                        self.op_kind[o][k] += n;
+                    }
+                }
+            }
+        }
         for (o, row) in self.op_tier_ns.iter_mut().enumerate() {
             for (t, h) in row.iter_mut().enumerate() {
                 h.merge(&cell.op_tier_ns[o][t].snapshot());
-            }
-        }
-        for (o, row) in self.op_kind.iter_mut().enumerate() {
-            for (k, c) in row.iter_mut().enumerate() {
-                *c += cell.op_kind[o][k].load(Ordering::Relaxed);
             }
         }
         self.wal.merge(&WalMetrics {
@@ -716,9 +799,14 @@ impl TelemetrySnapshot {
         self.slow_dropped += cell.slow_dropped();
     }
 
-    /// The (op, tier) histogram, by dimension value.
+    /// The sampled (op, tier) latency histogram, by dimension value.
     pub fn op_tier(&self, op: Op, tier: Tier) -> &HistSnapshot {
         &self.op_tier_ns[op.index()][tier.index()]
+    }
+
+    /// The exact count of `op` served on `tier`.
+    pub fn op_count(&self, op: Op, tier: Tier) -> u64 {
+        self.op_tier_count[op.index()][tier.index()]
     }
 
     /// Total recorded count of `op` across kinds (reconciles with the
@@ -733,17 +821,12 @@ impl TelemetrySnapshot {
     /// newer value (it is a gauge, not a counter).
     pub fn minus(&self, earlier: &TelemetrySnapshot) -> TelemetrySnapshot {
         let mut out = self.clone();
+        subtract_counts(&mut out.op_tier_count, &earlier.op_tier_count);
+        subtract_counts(&mut out.op_kind, &earlier.op_kind);
         for (o, row) in out.op_tier_ns.iter_mut().enumerate() {
             for (t, h) in row.iter_mut().enumerate() {
                 if let Some(e) = earlier.op_tier_ns.get(o).and_then(|r| r.get(t)) {
                     *h = h.minus(e);
-                }
-            }
-        }
-        for (o, row) in out.op_kind.iter_mut().enumerate() {
-            for (k, c) in row.iter_mut().enumerate() {
-                if let Some(e) = earlier.op_kind.get(o).and_then(|r| r.get(k)) {
-                    *c = c.saturating_sub(*e);
                 }
             }
         }
@@ -762,6 +845,16 @@ impl TelemetrySnapshot {
             }
         }
         out
+    }
+}
+
+/// Element-wise saturating `counts − earlier` over a `[op][column]` table
+/// (cells missing from `earlier` stay as they are).
+fn subtract_counts(counts: &mut [Vec<u64>], earlier: &[Vec<u64>]) {
+    for (row, erow) in counts.iter_mut().zip(earlier) {
+        for (c, e) in row.iter_mut().zip(erow) {
+            *c = c.saturating_sub(*e);
+        }
     }
 }
 
@@ -885,8 +978,29 @@ mod tests {
         assert_eq!(j.dropped.load(Ordering::Relaxed), 10);
         let drained = j.drain();
         assert_eq!(drained.len(), SLOW_RING);
+        // The ten oldest were dropped; the rest drain oldest first.
+        assert_eq!(drained.first().unwrap().duration_ns, 10);
         assert_eq!(drained.last().unwrap().duration_ns, SLOW_RING as u64 + 9);
         assert!(j.drain().is_empty());
+    }
+
+    #[test]
+    fn sampler_gaps_are_uniform_around_the_mean() {
+        // A fresh thread: its first op is timed and its sequence is fixed.
+        let timed: Vec<usize> =
+            std::thread::spawn(|| (0..32_000).filter(|_| sample_next_op()).collect::<Vec<_>>())
+                .join()
+                .unwrap();
+        assert_eq!(timed[0], 0, "the first op of a thread is timed");
+        let gaps: Vec<usize> = timed.windows(2).map(|w| w[1] - w[0]).collect();
+        let max_gap = 2 * SAMPLE_MEAN_GAP as usize - 1;
+        assert!(gaps.iter().all(|&g| (1..=max_gap).contains(&g)));
+        assert!(gaps.contains(&1) && gaps.contains(&max_gap));
+        let mean = gaps.iter().sum::<usize>() as f64 / gaps.len() as f64;
+        assert!(
+            (mean - f64::from(SAMPLE_MEAN_GAP)).abs() < 0.5,
+            "mean gap {mean}"
+        );
     }
 
     #[test]

@@ -373,6 +373,11 @@ fn encode_snapshot(snap: &TelemetrySnapshot) -> Vec<u8> {
     out.push(snap.op_tier_ns.len() as u8);
     out.push(snap.op_tier_ns.first().map_or(0, Vec::len) as u8);
     out.push(snap.op_kind.first().map_or(0, Vec::len) as u8);
+    for per_tier in &snap.op_tier_count {
+        for &count in per_tier {
+            out.extend_from_slice(&count.to_le_bytes());
+        }
+    }
     for per_tier in &snap.op_tier_ns {
         for h in per_tier {
             put_hist(&mut out, h);
@@ -422,6 +427,9 @@ fn decode_snapshot(c: &mut Cursor<'_>) -> Result<TelemetrySnapshot, String> {
     let mut snap = TelemetrySnapshot::empty(enabled, shards);
     snap.clock = clock;
     let (ops, tiers, kinds) = (c.u8()? as usize, c.u8()? as usize, c.u8()? as usize);
+    snap.op_tier_count = (0..ops)
+        .map(|_| (0..tiers).map(|_| c.u64()).collect())
+        .collect::<Result<_, _>>()?;
     snap.op_tier_ns = (0..ops)
         .map(|_| (0..tiers).map(|_| read_hist(c)).collect())
         .collect::<Result<_, _>>()?;

@@ -1,9 +1,9 @@
 //! Telemetry integration: histogram laws (property-tested), exact
 //! reconciliation between [`TelemetrySnapshot`] and [`EngineStats`] under
-//! mixed traffic, per-shard stats summing to the aggregate, the
-//! realized-vs-predicted cost differential against
-//! [`aigs_core::evaluate_exhaustive`], and the disabled-telemetry and
-//! slow-op-journal paths.
+//! mixed traffic, per-shard stats summing to the aggregate, the duration
+//! sampler's coverage of alternating ops, the realized-vs-predicted cost
+//! differential against [`aigs_core::evaluate_exhaustive`], and the
+//! disabled-telemetry and slow-op-journal paths.
 
 mod common;
 
@@ -12,7 +12,7 @@ use std::sync::Arc;
 use aigs_core::{evaluate_exhaustive, NodeWeights, SearchContext};
 use aigs_graph::NodeId;
 use aigs_service::telemetry::{
-    bucket_bound, bucket_index, HistSnapshot, Op, Tier, HIST_BUCKETS, OPS,
+    bucket_bound, bucket_index, HistSnapshot, Op, Tier, HIST_BUCKETS, OPS, TIERS,
 };
 use aigs_service::{EngineConfig, PlanSpec, PolicyKind, SearchEngine};
 use aigs_testutil::{dag_from_seed, generic_weights};
@@ -151,28 +151,41 @@ fn telemetry_reconciles_with_engine_stats() {
         stats.steps,
         "steps"
     );
+    // The exact (op, tier) counts are what the stats derive from.
+    let on_tier = |op, tier| snap.op_count(op, tier);
+    let steps_on = |tier| on_tier(Op::Next, tier) + on_tier(Op::Answer, tier);
     assert_eq!(
-        snap.op_tier(Op::Next, Tier::Compiled).count()
-            + snap.op_tier(Op::Answer, Tier::Compiled).count(),
+        TIERS.into_iter().map(steps_on).sum::<u64>(),
+        stats.steps,
+        "steps by tier"
+    );
+    assert_eq!(
+        steps_on(Tier::Compiled),
         stats.compiled_hits,
         "compiled-tier hits"
     );
-    // Histogram counts equal per-op counter totals (every duration cell
-    // pairs with a kind-count cell), except Evict which records one drain
-    // duration per sweep, and Recover which never fired here.
+    assert_eq!(
+        on_tier(Op::Open, Tier::Fallback) + on_tier(Op::Answer, Tier::Fallback),
+        stats.compiled_fallbacks,
+        "compiled-tier fallbacks"
+    );
+    // Both exact breakdowns count the same operations (Recover, the one
+    // op without a kind, never fired here), and each sampled histogram
+    // holds at most its exact count: durations are timed for a sample of
+    // ops, while Evict records one drain duration per non-empty sweep.
     for op in OPS {
-        if matches!(op, Op::Evict | Op::Recover) {
-            continue;
-        }
-        let hist: u64 = [Tier::Live, Tier::Compiled, Tier::Fallback]
-            .iter()
-            .map(|&t| snap.op_tier(op, t).count())
-            .sum();
+        let exact: u64 = TIERS.into_iter().map(|t| on_tier(op, t)).sum();
         assert_eq!(
-            hist,
+            exact,
             snap.op_total(op),
-            "duration/count mismatch for {op:?}"
+            "tier/kind totals differ for {op:?}"
         );
+        for tier in TIERS {
+            assert!(
+                snap.op_tier(op, tier).count() <= on_tier(op, tier),
+                "more {op:?}/{tier:?} samples than ops"
+            );
+        }
     }
 
     // Per-shard stats sum to the aggregate, field by field.
@@ -203,7 +216,8 @@ fn telemetry_reconciles_with_engine_stats() {
 }
 
 /// With telemetry disabled the snapshot stays empty (and the hot path
-/// records nothing), while the engine counters still work.
+/// records nothing), while the engine counters — steps included, which
+/// derive from the always-on exact cells — still work.
 #[test]
 fn disabled_telemetry_records_nothing() {
     let n = 12;
@@ -217,15 +231,22 @@ fn disabled_telemetry_records_nothing() {
     let plan = engine
         .register_plan(PlanSpec::new(Arc::clone(&dag), weights))
         .unwrap();
+    let mut driven = 0;
     for v in dag.nodes().take(4) {
         let id = engine
             .open_session(plan, PolicyKind::GreedyDag)
             .unwrap()
             .id();
-        drive_to_end(&engine, id, &dag, v);
+        let (transcript, _) = drive_to_end(&engine, id, &dag, v);
+        // One next + answer per question, plus the resolving next.
+        driven += 2 * transcript.len() as u64 + 1;
     }
     let stats = engine.stats();
     assert_eq!(stats.opened, 4);
+    assert_eq!(
+        stats.steps, driven,
+        "steps must stay exact with telemetry off"
+    );
     let snap = engine.telemetry();
     assert!(!snap.enabled);
     for op in OPS {
@@ -234,6 +255,42 @@ fn disabled_telemetry_records_nothing() {
     assert_eq!(snap.wal.append_bytes, 0);
     assert!(snap.plans.is_empty());
     assert!(engine.drain_slow_ops().is_empty());
+}
+
+/// Strict next/answer alternation must not alias with the duration
+/// sampler: over ≥10 000 alternating ops each of the two histograms holds
+/// between 1/32 and 1/8 of its exact count (the mean gap is 16). A fixed
+/// even stride would time only one of the two.
+#[test]
+fn sampled_durations_cover_alternating_ops() {
+    // A path: top-down asks one question per edge on the way to the
+    // deepest node, so one session alternates 5 000 next/answer pairs.
+    let n = 5_001;
+    let edges: Vec<(u32, u32)> = (1..n as u32).map(|v| (v - 1, v)).collect();
+    let dag = Arc::new(aigs_graph::dag_from_edges(n, &edges).unwrap());
+    let engine = SearchEngine::new(EngineConfig {
+        shards: 1,
+        telemetry: Some(true),
+        ..EngineConfig::default()
+    });
+    let plan = engine
+        .register_plan(PlanSpec::new(
+            Arc::clone(&dag),
+            Arc::new(NodeWeights::uniform(n)),
+        ))
+        .unwrap();
+    let id = engine.open_session(plan, PolicyKind::TopDown).unwrap().id();
+    drive_to_end(&engine, id, &dag, NodeId::new(n - 1));
+    let snap = engine.telemetry();
+    for op in [Op::Next, Op::Answer] {
+        let exact: u64 = TIERS.into_iter().map(|t| snap.op_count(op, t)).sum();
+        let sampled: u64 = TIERS.into_iter().map(|t| snap.op_tier(op, t).count()).sum();
+        assert!(exact >= 5_000, "{op:?}: only {exact} ops driven");
+        assert!(
+            32 * sampled >= exact && 8 * sampled <= exact,
+            "{op:?}: {sampled} samples of {exact} ops, outside 1/32..1/8"
+        );
+    }
 }
 
 /// The realized-cost histogram matches the policy's *predicted* expected
@@ -350,8 +407,8 @@ fn wal_metrics_populate_under_durability() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A threshold of 1 ns makes every operation "slow": the journal fills,
-/// stays bounded, and drains destructively.
+/// A threshold of 1 ns makes every timed operation "slow": the journal
+/// fills, stays bounded, and drains destructively.
 #[test]
 fn slow_op_journal_captures_and_bounds() {
     std::env::set_var("AIGS_SLOW_OP_NS", "1");

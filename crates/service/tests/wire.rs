@@ -265,6 +265,13 @@ fn stats_shard_stats_and_metrics_over_wire() {
     assert_eq!(full.enabled, local.enabled);
     for op in aigs_service::telemetry::OPS {
         assert_eq!(full.op_total(op), local.op_total(op), "{op:?} over wire");
+        for tier in aigs_service::telemetry::TIERS {
+            assert_eq!(
+                full.op_count(op, tier),
+                local.op_count(op, tier),
+                "{op:?}/{tier:?} over wire"
+            );
+        }
     }
     assert_eq!(
         full.op_tier(Op::Next, Tier::Live).sum,
@@ -278,6 +285,11 @@ fn stats_shard_stats_and_metrics_over_wire() {
     drive_wire(&mut client, id, &dag, aigs_graph::NodeId::new(1));
     let delta = client.metrics(true).unwrap();
     assert_eq!(delta.op_total(Op::Open), 1, "delta after one open");
+    let open_by_tier: u64 = aigs_service::telemetry::TIERS
+        .into_iter()
+        .map(|tier| delta.op_count(Op::Open, tier))
+        .sum();
+    assert_eq!(open_by_tier, 1, "exact per-tier delta after one open");
     assert!(delta.op_total(Op::Open) < before_opens + 1 || before_opens == 0);
     // An immediate second delta is empty of operations.
     let quiet = client.metrics(true).unwrap();

@@ -282,26 +282,32 @@ fn main() {
     // The same operations as seen from inside the engine: the telemetry
     // histograms the server exposes over `metrics` / `GET /metrics`.
     // Client-side numbers above include the TCP round-trip; the gap
-    // between the two tables is the wire's cost. Quantiles come from
-    // log2 buckets, so they are upper bounds with ≤2x resolution.
+    // between the two tables is the wire's cost. The engine times about
+    // one op in `SAMPLE_MEAN_GAP` per thread, so the server-side
+    // quantiles come from the `timed` sample of the exact `count`; they
+    // are read from log2 buckets, so they are upper bounds with ≤2x
+    // resolution.
     let snap = engine.telemetry();
     if snap.enabled {
-        use aigs::service::telemetry::{Op, Tier};
+        use aigs::service::telemetry::{HistSnapshot, Op, TIERS};
         println!(
-            "\n  {:<14} {:>9}  {:>9}  {:>9}  {:>9}   server-side (telemetry)",
-            "op", "count", "p50 µs", "p90 µs", "p99 µs"
+            "\n  {:<14} {:>9}  {:>9}  {:>9}  {:>9}  {:>9}   server-side (telemetry, sampled)",
+            "op", "count", "timed", "p50 µs", "p90 µs", "p99 µs"
         );
         for op in [Op::Open, Op::Next, Op::Answer, Op::Finish, Op::Cancel] {
-            let mut h = snap.op_tier(op, Tier::Live).clone();
-            for tier in [Tier::Compiled, Tier::Fallback] {
+            let mut h = HistSnapshot::default();
+            let mut count = 0;
+            for tier in TIERS {
                 h.merge(snap.op_tier(op, tier));
+                count += snap.op_count(op, tier);
             }
-            if h.count() == 0 {
+            if count == 0 {
                 continue;
             }
             println!(
-                "  {:<14} {:>9}  {:>9.1}  {:>9.1}  {:>9.1}",
+                "  {:<14} {:>9}  {:>9}  {:>9.1}  {:>9.1}  {:>9.1}",
                 op.name(),
+                count,
                 h.count(),
                 h.quantile(0.50) as f64 / 1_000.0,
                 h.quantile(0.90) as f64 / 1_000.0,
