@@ -42,7 +42,7 @@
 //! * `service_shard_sweep/step-batch/{shards}` — a fixed 8192-step batch
 //!   split across `shards` worker threads against an engine with that
 //!   many shards: aggregate steps/sec = 8192 × 1e9 / median_ns. With the
-//!   per-shard slab, free list, WAL tail, and idle heap, rows should
+//!   per-shard slab, free list, WAL tail, and idle list, rows should
 //!   scale near-linearly with core count — *within the limits of the
 //!   bench host*: on a single-vCPU machine (including the
 //!   committed-baseline one) the threads time-slice one core, so the

@@ -81,59 +81,10 @@ pub(crate) fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("{SHARD_DIR_PREFIX}{shard}"))
 }
 
-/// Staging directory for [`migrate_legacy_layout`]: legacy files move in
-/// here one rename at a time, then the whole directory renames to
-/// `shard-0` — so a crash at any point leaves either the legacy layout
-/// (restart redoes the migration) or this directory (restart resumes it),
-/// never a half-populated `shard-0` that recovery would read as truth.
-const LEGACY_MIGRATION_TMP: &str = "shard-0.tmp";
-
-/// Moves a WAL-format-v1 single-directory layout (PR 6: `wal.log` /
-/// `snapshot.log` directly under `dir`) into the sharded layout as
-/// `shard-0/` of a 1-shard engine. v1 logs replay unchanged — the format
-/// bump only added [`WalEvent::ShardMeta`] and the per-shard directories —
-/// so relocating the files is the whole migration. No-op when there is
-/// nothing legacy to migrate; an error when legacy files coexist with
-/// `shard-<k>` directories (an ambiguous mixture this code refuses to
-/// guess about).
-fn migrate_legacy_layout(dir: &Path, has_shard_dirs: bool) -> Result<bool, ServiceError> {
-    const LEGACY_FILES: [&str; 4] = [SNAPSHOT_FILE, TAIL_FILE, ROTATED_FILE, SNAPSHOT_TMP_FILE];
-    let tmp = dir.join(LEGACY_MIGRATION_TMP);
-    let legacy_present = LEGACY_FILES.iter().any(|f| dir.join(f).exists());
-    let resuming = tmp.is_dir();
-    if !legacy_present && !resuming {
-        return Ok(false);
-    }
-    if has_shard_dirs {
-        return Err(durability_err(format!(
-            "{} holds both a legacy single-directory WAL and shard-<k> directories; \
-             refusing to guess which is authoritative",
-            dir.display()
-        )));
-    }
-    if !resuming {
-        std::fs::create_dir(&tmp).map_err(durability_err)?;
-    }
-    for name in LEGACY_FILES {
-        let from = dir.join(name);
-        if from.exists() {
-            std::fs::rename(&from, tmp.join(name)).map_err(durability_err)?;
-        }
-    }
-    // Both the file moves and the publishing rename must be durable
-    // before recovery reads shard-0 as the authoritative log.
-    sync_dir(&tmp)?;
-    std::fs::rename(&tmp, shard_dir(dir, 0)).map_err(durability_err)?;
-    sync_dir(dir)?;
-    Ok(true)
-}
-
 /// Enumerates the shard directories present under `dir`: `Ok(k)` when the
 /// set is exactly `shard-0 … shard-(k−1)` (k ≥ 1), an error naming the gap
 /// or stray entry otherwise — a missing shard means acknowledged sessions
-/// are gone, which recovery must refuse to paper over. A legacy pre-shard
-/// layout (WAL format v1, files directly under `dir`) is first migrated in
-/// place to `shard-0/` of a 1-shard engine.
+/// are gone, which recovery must refuse to paper over.
 pub(crate) fn discover_shards(dir: &Path) -> Result<usize, ServiceError> {
     let entries = std::fs::read_dir(dir).map_err(durability_err)?;
     let mut seen = Vec::new();
@@ -143,9 +94,6 @@ pub(crate) fn discover_shards(dir: &Path) -> Result<usize, ServiceError> {
         let Some(rest) = name.to_str().and_then(|n| n.strip_prefix(SHARD_DIR_PREFIX)) else {
             continue; // foreign files are ignored, like before sharding
         };
-        if name.to_str() == Some(LEGACY_MIGRATION_TMP) {
-            continue; // in-flight legacy migration, resumed below
-        }
         let k: usize = rest.parse().map_err(|_| {
             durability_err(format!(
                 "unparsable shard directory {:?}",
@@ -153,9 +101,6 @@ pub(crate) fn discover_shards(dir: &Path) -> Result<usize, ServiceError> {
             ))
         })?;
         seen.push(k);
-    }
-    if migrate_legacy_layout(dir, !seen.is_empty())? {
-        seen.push(0);
     }
     if seen.is_empty() {
         return Err(durability_err(format!(
@@ -1068,11 +1013,10 @@ impl ReplayState {
     pub(crate) fn apply(&mut self, event: &WalEvent) {
         match event {
             WalEvent::EngineMeta { version, engine_id } => {
-                // Version 1 (PR 6's pre-shard format) differs only in
+                // Version 1 (the pre-shard format) differs only in
                 // directory layout and the absence of ShardMeta records;
-                // the event encoding is unchanged, so replay accepts it
-                // directly (discover_shards migrates the layout before
-                // any log is read). Anything else is unreadable.
+                // the event encoding is unchanged, so replay accepts it.
+                // Anything else is unreadable.
                 if !(1..=WAL_VERSION).contains(version) {
                     self.unsupported_version.get_or_insert(*version);
                     self.anomalies
@@ -1408,58 +1352,5 @@ mod tests {
         assert_eq!(rs.engine_id, Some(7));
         assert_eq!(rs.unsupported_version, None);
         assert!(rs.anomalies.is_empty());
-    }
-
-    fn scratch(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("aigs-dur-{}-{}", tag, std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    #[test]
-    fn legacy_layout_migrates_to_shard_zero() {
-        let dir = scratch("legacy-migrate");
-        std::fs::write(dir.join(TAIL_FILE), b"tail").unwrap();
-        std::fs::write(dir.join(SNAPSHOT_FILE), b"snap").unwrap();
-        assert_eq!(discover_shards(&dir).unwrap(), 1);
-        let shard0 = shard_dir(&dir, 0);
-        assert_eq!(std::fs::read(shard0.join(TAIL_FILE)).unwrap(), b"tail");
-        assert_eq!(std::fs::read(shard0.join(SNAPSHOT_FILE)).unwrap(), b"snap");
-        assert!(!dir.join(TAIL_FILE).exists());
-        assert!(!dir.join(LEGACY_MIGRATION_TMP).exists());
-        // Idempotent: the migrated layout is a plain 1-shard directory.
-        assert_eq!(discover_shards(&dir).unwrap(), 1);
-    }
-
-    #[test]
-    fn legacy_migration_resumes_after_mid_move_crash() {
-        // Simulate a crash after one file moved into the staging dir but
-        // before the publish rename: the tail is already in shard-0.tmp,
-        // the snapshot still sits in the base directory.
-        let dir = scratch("legacy-resume");
-        let tmp = dir.join(LEGACY_MIGRATION_TMP);
-        std::fs::create_dir(&tmp).unwrap();
-        std::fs::write(tmp.join(TAIL_FILE), b"tail").unwrap();
-        std::fs::write(dir.join(SNAPSHOT_FILE), b"snap").unwrap();
-        assert_eq!(discover_shards(&dir).unwrap(), 1);
-        let shard0 = shard_dir(&dir, 0);
-        assert_eq!(std::fs::read(shard0.join(TAIL_FILE)).unwrap(), b"tail");
-        assert_eq!(std::fs::read(shard0.join(SNAPSHOT_FILE)).unwrap(), b"snap");
-        assert!(!tmp.exists());
-    }
-
-    #[test]
-    fn legacy_and_sharded_mixture_is_refused() {
-        let dir = scratch("legacy-mixed");
-        std::fs::create_dir(shard_dir(&dir, 0)).unwrap();
-        std::fs::write(dir.join(TAIL_FILE), b"tail").unwrap();
-        let err = discover_shards(&dir).unwrap_err();
-        assert!(
-            err.to_string().contains("refusing to guess"),
-            "unexpected error: {err}"
-        );
-        // Nothing was moved or deleted by the refusal.
-        assert!(dir.join(TAIL_FILE).exists());
     }
 }

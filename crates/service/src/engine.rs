@@ -1,7 +1,5 @@
 //! The multi-tenant session engine.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -29,10 +27,6 @@ use crate::{PlanId, PlanSpec, PolicyKind, ServiceError};
 /// Default admission limit of [`EngineConfig`].
 pub const DEFAULT_MAX_SESSIONS: usize = 65_536;
 
-/// Slack added to the idle-heap compaction threshold so tiny engines do
-/// not thrash the rebuild.
-const IDLE_HEAP_SLACK: usize = 64;
-
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -52,7 +46,7 @@ pub struct EngineConfig {
     /// How many warm policy instances each (plan, kind) pool retains.
     pub pool_cap: usize,
     /// How many slab shards the engine runs. Each shard owns its slots,
-    /// free list, stats counters, idle heap and (with durability on) WAL
+    /// free list, stats counters, idle list and (with durability on) WAL
     /// tail, so sessions on different shards never contend on a shared
     /// mutator lock. `0` means auto: the `AIGS_SHARDS` environment
     /// variable if set, else [`std::thread::available_parallelism`].
@@ -320,7 +314,6 @@ struct LiveSession {
     /// session's complete durable state (questions re-derive
     /// deterministically on replay).
     answers: Vec<bool>,
-    last_touch: u64,
 }
 
 impl LiveSession {
@@ -338,11 +331,93 @@ struct Slot {
     session: Option<LiveSession>,
 }
 
-/// One lazily-deduplicated idle-heap entry: `(last_touch, local slot,
-/// generation)` under `Reverse`, so the root is the least-recently-touched
-/// candidate. Entries are never removed on touch — the slot's current
-/// `last_touch` arbitrates staleness when an entry surfaces at the root.
-type IdleEntry = Reverse<(u64, u32, u32)>;
+/// One node of an [`IdleList`].
+#[derive(Clone, Copy)]
+struct IdleLink {
+    prev: u32,
+    next: u32,
+    /// The clock value of the session's last touch.
+    touched: u64,
+}
+
+/// `prev` of a node that is not in its list.
+const NIL: u32 = u32::MAX;
+const UNLINKED: IdleLink = IdleLink {
+    prev: NIL,
+    next: NIL,
+    touched: 0,
+};
+
+/// A shard's live sessions in touch order, linked through per-slot
+/// `prev`/`next` indices: touch, unlink and evict are O(1), and there is no
+/// stale entry to skip. Local slot `l` is node `l + 1`; node 0 is a
+/// sentinel whose `next` is the head (least recently touched) and whose
+/// `prev` is the tail.
+///
+/// Invariants, relied on by [`SearchEngine::evict_expired`]:
+/// - a slot is linked exactly while it holds a live session;
+/// - every link, move and unlink happens under that slot's lock, so the
+///   only lock order is slot → list;
+/// - touch values are clock readings taken under the list lock, so list
+///   order is touch order and the head is the oldest.
+struct IdleList {
+    links: Vec<IdleLink>,
+}
+
+impl IdleList {
+    fn new() -> IdleList {
+        let sentinel = IdleLink {
+            prev: 0,
+            next: 0,
+            touched: 0,
+        };
+        IdleList {
+            links: vec![sentinel],
+        }
+    }
+
+    fn is_linked(&self, local: u32) -> bool {
+        let node = local as usize + 1;
+        self.links.get(node).is_some_and(|l| l.prev != NIL)
+    }
+
+    /// Links `local` as the most recently touched session.
+    fn push_tail(&mut self, local: u32, touched: u64) {
+        debug_assert!(!self.is_linked(local), "slot {local} linked twice");
+        let node = local as usize + 1;
+        if node >= self.links.len() {
+            self.links.resize(node + 1, UNLINKED);
+        }
+        let tail = self.links[0].prev;
+        self.links[node] = IdleLink {
+            prev: tail,
+            next: 0,
+            touched,
+        };
+        self.links[tail as usize].next = node as u32;
+        self.links[0].prev = node as u32;
+    }
+
+    fn unlink(&mut self, local: u32) {
+        debug_assert!(self.is_linked(local), "slot {local} is not linked");
+        let IdleLink { prev, next, .. } =
+            std::mem::replace(&mut self.links[local as usize + 1], UNLINKED);
+        self.links[prev as usize].next = next;
+        self.links[next as usize].prev = prev;
+    }
+
+    /// Moves the linked `local` to the tail, stamped `touched`.
+    fn touch(&mut self, local: u32, touched: u64) {
+        self.unlink(local);
+        self.push_tail(local, touched);
+    }
+
+    /// The least recently touched slot and its touch value.
+    fn oldest(&self) -> Option<(u32, u64)> {
+        let head = self.links[0].next;
+        (head != 0).then(|| (head - 1, self.links[head as usize].touched))
+    }
+}
 
 #[derive(Default)]
 struct Counters {
@@ -355,7 +430,7 @@ struct Counters {
     pool_hits: AtomicU64,
 }
 
-/// One slab shard: slots, free list, idle heap, stats and WAL tail, each
+/// One slab shard: slots, free list, idle list, stats and WAL tail, each
 /// owned exclusively so mutators on different shards share no locks. The
 /// logical clock, live count and degraded flag stay engine-global: the
 /// clock so idle ages are comparable across shards (a per-shard clock
@@ -364,12 +439,9 @@ struct Counters {
 struct Shard {
     slots: RwLock<Vec<Arc<Mutex<Slot>>>>,
     free: Mutex<Vec<u32>>,
-    /// Last-touch min-heap over this shard's live sessions (maintained
-    /// only when idle eviction is configured). Lazy: every touch pushes,
-    /// stale entries are discarded when popped, and the heap is compacted
-    /// in place when it outgrows `2·slots + slack`. Lock order: a slot
-    /// mutex may be held while taking the heap lock, never the reverse.
-    idle: Mutex<BinaryHeap<IdleEntry>>,
+    /// This shard's live sessions in touch order; `None` when idle
+    /// eviction is off. See [`IdleList`] for the invariants.
+    idle: Option<Mutex<IdleList>>,
     counters: Counters,
     /// Sessions currently live on this shard (the engine-global `live`
     /// stays the admission budget; this one exists so shard skew is
@@ -383,11 +455,11 @@ struct Shard {
 }
 
 impl Shard {
-    fn empty(telemetry_enabled: bool) -> Shard {
+    fn empty(telemetry_enabled: bool, track_idle: bool) -> Shard {
         Shard {
             slots: RwLock::new(Vec::new()),
             free: Mutex::new(Vec::new()),
-            idle: Mutex::new(BinaryHeap::new()),
+            idle: track_idle.then(|| Mutex::new(IdleList::new())),
             counters: Counters::default(),
             live: AtomicU64::new(0),
             telemetry: Arc::new(ShardTelemetry::new(telemetry_enabled)),
@@ -406,7 +478,7 @@ enum Removal {
 /// The engine is `Sync`: share it behind an `Arc` (or plain reference) and
 /// drive different sessions from as many threads as you like. Session
 /// storage is split across [`EngineConfig::shards`] shards, each owning
-/// its slots, free list, counters, idle heap and WAL tail — so per-session
+/// its slots, free list, counters, idle list and WAL tail — so per-session
 /// operations lock only that session's slot, admission bookkeeping on
 /// different shards never contends, and (with durability on) appends to
 /// different shards' logs proceed in parallel instead of serializing on
@@ -505,7 +577,7 @@ impl SearchEngine {
         let clock = Arc::new(AtomicU64::new(0));
         let degraded = DegradedState::new(Arc::clone(&clock));
         let mut shards: Vec<Shard> = (0..shard_count)
-            .map(|_| Shard::empty(telemetry_enabled))
+            .map(|_| Shard::empty(telemetry_enabled, config.idle_ticks.is_some()))
             .collect();
         if let Some(d) = &config.durability {
             std::fs::create_dir_all(&d.dir).map_err(durability_err)?;
@@ -700,7 +772,7 @@ impl SearchEngine {
             shards.push(Shard {
                 slots: RwLock::new(part.slots),
                 free: Mutex::new(part.free),
-                idle: Mutex::new(part.idle),
+                idle: part.idle.map(Mutex::new),
                 counters,
                 live: AtomicU64::new(part.live as u64),
                 telemetry: Arc::new(ShardTelemetry::new(telemetry_enabled)),
@@ -805,8 +877,8 @@ impl SearchEngine {
     /// O(Δ)); construction/reset failures — an oversized
     /// [`PolicyKind::Optimal`] instance, [`PolicyKind::GreedyTree`] on a
     /// DAG — surface as [`ServiceError::Core`] to this caller alone. At the
-    /// admission limit every shard's idle heap is drained of expired
-    /// sessions first (O(log n) per eviction); if nothing is reclaimable
+    /// admission limit every shard's idle list is drained of expired
+    /// sessions first (O(1) per eviction); if nothing is reclaimable
     /// the open fails with [`ServiceError::AtCapacity`], whose
     /// `retryable`/`oldest_idle` fields tell the caller whether and when
     /// backing off can help.
@@ -817,7 +889,7 @@ impl SearchEngine {
     ) -> Result<SessionHandle<'_>, ServiceError> {
         self.check_active()?;
         let timer = self.op_timer();
-        let now = self.tick();
+        self.tick();
         if plan.engine != self.engine_id {
             return Err(ServiceError::UnknownPlan(plan));
         }
@@ -908,7 +980,6 @@ impl SearchEngine {
             kind,
             core,
             answers: Vec::new(),
-            last_touch: now,
         };
         let local = allocate_slot(shard);
         let slot_arc = slot_arc(shard, local);
@@ -931,7 +1002,13 @@ impl SearchEngine {
                 }
             }
             slot.session = Some(session);
-            self.touch_idle(shard, local, slot.generation, now);
+            if let Some(idle) = &shard.idle {
+                // Stamped with a clock reading taken under the list lock
+                // (this open ticked before admission), so list order stays
+                // touch order.
+                let mut list = idle.lock().expect("idle list poisoned");
+                list.push_tail(local, self.clock.load(Ordering::Relaxed));
+            }
             slot.generation
         };
         shard.counters.opened.fetch_add(1, Ordering::Relaxed);
@@ -1095,15 +1172,9 @@ impl SearchEngine {
                 .session
                 .as_mut()
                 .ok_or(ServiceError::UnknownSession(id))?;
-            let now = self.tick();
-            session.last_touch = now;
-            // Keep the idle heap current even though the slot is usually
-            // about to be freed: if this finish fails and the session stays
-            // live (unresolved → SessionMisuse, or the Finished record
-            // cannot be durably logged), its previous heap entry no longer
-            // matches last_touch and would be discarded as stale residue,
-            // leaving the session idle-eviction-proof forever.
-            self.touch_idle(shard, local, id.generation, now);
+            // A finish that fails leaves the session live, linked and
+            // freshly touched.
+            self.touch(shard, local);
             let finished = catch_unwind(AssertUnwindSafe(|| {
                 if matches!(failpoints::hit("engine.policy"), Some(FaultAction::Panic)) {
                     panic!("injected policy panic");
@@ -1127,6 +1198,7 @@ impl SearchEngine {
                 })?;
             }
             slot.generation = slot.generation.wrapping_add(1);
+            self.unlink_idle(shard, local);
             (outcome, slot.session.take().expect("checked above"))
         };
         let kind = session.kind;
@@ -1165,8 +1237,8 @@ impl SearchEngine {
     /// degraded (a degraded engine must not silently drop recoverable
     /// sessions).
     ///
-    /// Cost is O(expired · log live), not O(`max_sessions`): each shard
-    /// pops its last-touch heap only while the root has actually expired.
+    /// Cost is O(1) per eviction, not O(`max_sessions`): each shard
+    /// unlinks the head of its idle list only while that head has expired.
     pub fn sweep_idle(&self) -> usize {
         let mut evicted = 0;
         for shard in &self.shards {
@@ -1694,53 +1766,33 @@ impl SearchEngine {
         }
     }
 
-    /// Pushes an idle-heap entry for a just-touched session. Called under
-    /// the session's slot lock (the slot→heap order is the sanctioned
-    /// one); no-op when idle eviction is off. When lazy entries outgrow
-    /// `2·slots + slack`, the heap is compacted to its newest entry per
-    /// slot — per slot the newest touch also carries the newest
-    /// generation, so no live session's entry is lost.
-    fn touch_idle(&self, shard: &Shard, local: u32, generation: u32, touch: u64) {
-        if self.config.idle_ticks.is_none() {
+    /// Ticks the clock for an operation on the live session in `local`.
+    /// With idle eviction on, the tick is taken under the shard's list lock
+    /// and the session moves to the list's tail. Called under the slot lock.
+    fn touch(&self, shard: &Shard, local: u32) {
+        let Some(idle) = &shard.idle else {
+            self.tick();
             return;
-        }
-        let mut heap = shard.idle.lock().expect("idle heap poisoned");
-        heap.push(Reverse((touch, local, generation)));
-        // The slot count must be read *under* the heap lock: every entry
-        // already in the heap was pushed (under this lock) for a slot that
-        // existed at push time, and slots only grow, so a count taken here
-        // bounds every `l` below. A count taken before the lock does not —
-        // a concurrent open_session could allocate a new slot and push its
-        // entry first, and the compaction would index out of bounds.
-        // Lock order heap→slots-read is safe: no thread takes the heap
-        // lock while holding the slots write lock.
-        let slot_count = shard.slots.read().expect("slots lock poisoned").len();
-        if heap.len() > 2 * slot_count + IDLE_HEAP_SLACK {
-            let mut newest: Vec<Option<(u64, u32)>> = vec![None; slot_count];
-            for &Reverse((t, l, g)) in heap.iter() {
-                let cell = &mut newest[l as usize];
-                if cell.is_none_or(|(bt, _)| t > bt) {
-                    *cell = Some((t, g));
-                }
-            }
-            *heap = newest
-                .into_iter()
-                .enumerate()
-                .filter_map(|(l, e)| e.map(|(t, g)| Reverse((t, l as u32, g))))
-                .collect();
+        };
+        let mut list = idle.lock().expect("idle list poisoned");
+        list.touch(local, self.tick());
+    }
+
+    /// Unlinks a session about to leave `local` from the shard's idle list
+    /// (no-op with idle eviction off). Called under the slot lock, right
+    /// before `slot.session.take()`.
+    fn unlink_idle(&self, shard: &Shard, local: u32) {
+        if let Some(idle) = &shard.idle {
+            idle.lock().expect("idle list poisoned").unlink(local);
         }
     }
 
-    /// Drains one shard's expired sessions off its last-touch heap:
+    /// Drains one shard's expired sessions off the head of its idle list:
     /// returns how many were evicted, plus the age of the shard's oldest
-    /// still-live session (the caller's backoff hint). Entries whose slot
-    /// has moved on — newer generation, or a later touch — are lazy
-    /// residue and are discarded; every live session keeps exactly one
-    /// current entry (pushed at its last touch), so the first *current*
-    /// entry popped is the shard's true least-recently-touched session,
-    /// and if it has not expired nothing after it can have.
+    /// still-live session (the caller's backoff hint). The list is in touch
+    /// order, so the first head that has not expired ends the drain.
     fn evict_expired(&self, shard: &Shard) -> (usize, Option<u64>) {
-        let Some(max_idle) = self.config.idle_ticks else {
+        let (Some(max_idle), Some(idle)) = (self.config.idle_ticks, &shard.idle) else {
             return (0, None);
         };
         if self.is_degraded() {
@@ -1751,50 +1803,48 @@ impl SearchEngine {
         let now = self.clock.load(Ordering::Relaxed);
         let mut evicted = 0;
         let oldest = loop {
-            let Some(entry) = shard.idle.lock().expect("idle heap poisoned").pop() else {
+            let Some((local, touched)) = idle.lock().expect("idle list poisoned").oldest() else {
                 break None;
             };
-            let Reverse((touch, local, generation)) = entry;
-            let slot_arc = slot_arc(shard, local);
-            let reclaimed = {
-                let mut slot = slot_arc.lock().expect("slot lock poisoned");
-                let current = slot.generation == generation
-                    && slot.session.as_ref().is_some_and(|s| s.last_touch == touch);
-                if !current {
-                    continue; // lazy residue of an older touch or tenant
-                }
-                let age = now.saturating_sub(touch);
-                if age < max_idle {
-                    // The shard's oldest live session, still fresh: put its
-                    // entry back and stop — the heap holds nothing older.
-                    drop(slot);
-                    shard.idle.lock().expect("idle heap poisoned").push(entry);
-                    break Some(age);
-                }
-                // Expired: evict under the slot lock. The eviction event is
-                // logged best-effort (an unlogged eviction merely
-                // resurrects the session on recovery).
-                if let Some(wal) = &shard.wal {
-                    wal.append_best_effort(&WalEvent::Evicted {
-                        index: local,
-                        generation: slot.generation,
-                    });
-                }
-                slot.generation = slot.generation.wrapping_add(1);
-                slot.session.take()
-            };
-            if let Some(s) = reclaimed {
-                // Per-kind eviction counts reconcile exactly with the
-                // `evicted` counter; the drain's single latency
-                // observation is recorded below.
-                shard
-                    .telemetry
-                    .count_op(telemetry::Op::Evict, telemetry::Tier::Live, Some(s.kind));
-                s.release_policy();
-                self.release_slot(shard, local);
-                shard.counters.evicted.fetch_add(1, Ordering::Relaxed);
-                evicted += 1;
+            let age = now.saturating_sub(touched);
+            if age < max_idle {
+                break Some(age);
             }
+            // The slot lock comes first (slot → list), so re-check the head
+            // under both: a touch, finish or cancel may have moved or
+            // unlinked it since the peek. A relinked slot carries a later
+            // stamp, so an unchanged (head, stamp) pair is the same session.
+            let slot_arc = slot_arc(shard, local);
+            let mut slot = slot_arc.lock().expect("slot lock poisoned");
+            {
+                let mut list = idle.lock().expect("idle list poisoned");
+                if list.oldest() != Some((local, touched)) {
+                    continue;
+                }
+                list.unlink(local);
+            }
+            // Expired: evict under the slot lock. The eviction event is
+            // logged best-effort (an unlogged eviction merely resurrects
+            // the session on recovery).
+            if let Some(wal) = &shard.wal {
+                wal.append_best_effort(&WalEvent::Evicted {
+                    index: local,
+                    generation: slot.generation,
+                });
+            }
+            slot.generation = slot.generation.wrapping_add(1);
+            let s = slot.session.take().expect("a linked slot holds a session");
+            drop(slot);
+            // Per-kind eviction counts reconcile exactly with the `evicted`
+            // counter; the drain's single latency observation is recorded
+            // below.
+            shard
+                .telemetry
+                .count_op(telemetry::Op::Evict, telemetry::Tier::Live, Some(s.kind));
+            s.release_policy();
+            self.release_slot(shard, local);
+            shard.counters.evicted.fetch_add(1, Ordering::Relaxed);
+            evicted += 1;
         };
         if evicted > 0 {
             if let Some(t) = timer {
@@ -1866,9 +1916,7 @@ impl SearchEngine {
             .as_mut()
             .ok_or(ServiceError::UnknownSession(id))?;
         let kind = session.kind;
-        let now = self.tick();
-        session.last_touch = now;
-        self.touch_idle(shard, local, id.generation, now);
+        self.touch(shard, local);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if matches!(failpoints::hit("engine.policy"), Some(FaultAction::Panic)) {
                 panic!("injected policy panic");
@@ -1890,6 +1938,7 @@ impl SearchEngine {
                                 // mutated instance is discarded); recovery
                                 // resurrects it at its acknowledged prefix.
                                 slot.generation = slot.generation.wrapping_add(1);
+                                self.unlink_idle(shard, local);
                                 let torn = slot.session.take();
                                 drop(slot);
                                 drop(torn);
@@ -1920,6 +1969,7 @@ impl SearchEngine {
         let shard = &self.shards[shard_k];
         let generation = slot.generation;
         slot.generation = generation.wrapping_add(1);
+        self.unlink_idle(shard, local);
         let quarantined = slot.session.take();
         drop(slot);
         if let Some(wal) = &shard.wal {
@@ -1965,6 +2015,7 @@ impl SearchEngine {
                 }
             }
             slot.generation = slot.generation.wrapping_add(1);
+            self.unlink_idle(shard, local);
             slot.session.take().expect("checked above")
         };
         let kind = session.kind;
@@ -2010,7 +2061,7 @@ fn slot_arc(shard: &Shard, local: u32) -> Arc<Mutex<Slot>> {
 struct ShardParts {
     slots: Vec<Arc<Mutex<Slot>>>,
     free: Vec<u32>,
-    idle: BinaryHeap<IdleEntry>,
+    idle: Option<IdleList>,
     live: usize,
     restored: usize,
     failed: usize,
@@ -2075,7 +2126,7 @@ fn restore_shard(
     let mut parts = ShardParts {
         slots: Vec::with_capacity(rs.sessions.len()),
         free: Vec::new(),
-        idle: BinaryHeap::new(),
+        idle: track_idle.then(IdleList::new),
         live: 0,
         restored: 0,
         failed: 0,
@@ -2112,12 +2163,10 @@ fn restore_shard(
                         generation: rsess.generation,
                         session: Some(session),
                     })));
-                    if track_idle {
+                    if let Some(idle) = &mut parts.idle {
                         // Recovered sessions start at touch 0 (the clock
                         // restarts): idle-oldest until touched again.
-                        parts
-                            .idle
-                            .push(Reverse((0, local as u32, rsess.generation)));
+                        idle.push_tail(local as u32, 0);
                     }
                     parts.live += 1;
                     parts.restored += 1;
@@ -2165,7 +2214,6 @@ fn restore_session(
                         kind,
                         core: SessionCore::Compiled { tree, cursor },
                         answers: rsess.answers.clone(),
-                        last_touch: 0,
                     });
                 }
             }
@@ -2186,7 +2234,6 @@ fn restore_session(
         kind,
         core: SessionCore::Live { policy, stepper },
         answers: rsess.answers.clone(),
-        last_touch: 0,
     })
 }
 
@@ -2237,5 +2284,47 @@ impl SessionHandle<'_> {
     /// See [`SearchEngine::cancel`].
     pub fn cancel(self) -> Result<(), ServiceError> {
         self.engine.cancel(self.id)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::IdleList;
+
+    /// The list's slots head to tail, checking the back links on the way.
+    fn order(list: &IdleList) -> Vec<(u32, u64)> {
+        let mut out = Vec::new();
+        let (mut prev, mut node) = (0, list.links[0].next);
+        while node != 0 {
+            let link = list.links[node as usize];
+            assert_eq!(link.prev, prev);
+            out.push((node - 1, link.touched));
+            (prev, node) = (node, link.next);
+        }
+        assert_eq!(list.links[0].prev, prev);
+        out
+    }
+
+    #[test]
+    fn idle_list_keeps_touch_order() {
+        let mut list = IdleList::new();
+        assert_eq!(list.oldest(), None);
+        for (local, t) in [(2, 1), (0, 2), (5, 3)] {
+            list.push_tail(local, t);
+        }
+        assert_eq!(order(&list), [(2, 1), (0, 2), (5, 3)]);
+        list.touch(0, 4); // middle to tail
+        list.touch(0, 5); // tail stays, restamped
+        list.touch(2, 6); // head to tail
+        assert_eq!(order(&list), [(5, 3), (0, 5), (2, 6)]);
+        assert_eq!(list.oldest(), Some((5, 3)));
+        list.unlink(0);
+        assert!(!list.is_linked(0));
+        list.unlink(5);
+        assert_eq!(order(&list), [(2, 6)]);
+        list.unlink(2);
+        assert_eq!(list.oldest(), None);
+        list.push_tail(0, 7);
+        assert_eq!(order(&list), [(0, 7)]);
     }
 }

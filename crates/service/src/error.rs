@@ -16,8 +16,8 @@ use crate::{PlanId, SessionId};
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
     /// Admission refused: the engine is at its live-session limit and
-    /// draining every shard's last-touch heap of expired sessions
-    /// reclaimed nothing.
+    /// draining every shard's idle list of expired sessions reclaimed
+    /// nothing.
     AtCapacity {
         /// Live sessions at refusal time.
         live: usize,
@@ -28,11 +28,11 @@ pub enum ServiceError {
         /// into evictability.
         retryable: bool,
         /// Age (engine ticks since last touch) of the engine's oldest live
-        /// session, read off the per-shard last-touch heap roots — a
+        /// session, read off the heads of the per-shard idle lists — a
         /// backoff hint: once this approaches
         /// [`crate::EngineConfig::idle_ticks`], a retry should get in.
         /// `None` when no live session was seen (idle eviction off, or the
-        /// heaps were empty).
+        /// lists were empty).
         oldest_idle: Option<u64>,
     },
     /// The plan id does not name a registered plan.

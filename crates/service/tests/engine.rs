@@ -372,6 +372,200 @@ fn admission_limit_and_idle_eviction() {
     assert_eq!(drive(&engine, fresh_id, &dag, z), z);
 }
 
+/// Idle eviction racing every teardown path: four threads open, drive,
+/// finish (prematurely too), cancel and abandon sessions on a 2-shard
+/// engine while a fifth sweeps in a loop. Every step a driver sees is its
+/// own session's next question (checked against an uncontended reference
+/// transcript) or `UnknownSession` once evicted; afterwards every session
+/// is accounted for exactly once and none is left eviction-proof.
+#[test]
+fn concurrent_eviction_races_every_teardown_path() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+
+    const IDLE: u64 = 16;
+    const THREADS: u64 = 4;
+    const PER_THREAD: usize = 150;
+    /// Sessions each driver keeps in flight, stepped in random order, so
+    /// a session waits between its own touches and can expire mid-drive.
+    const BATCH: usize = 4;
+
+    /// One in-flight session: `fate` 0 drives it to a finish, 1 cancels it
+    /// after `stop_after` answers, 2 abandons it there to the sweeper.
+    struct Drive {
+        id: SessionId,
+        z: NodeId,
+        expected: Vec<NodeId>,
+        fate: u32,
+        stop_after: usize,
+        answered: usize,
+    }
+    enum Done {
+        Finished,
+        Cancelled,
+        Gone,
+    }
+    impl Drive {
+        /// Takes one step; `Some` once the session has left its driver.
+        fn step(&mut self, engine: &SearchEngine, dag: &Dag, rng: &mut ChaCha8Rng) -> Option<Done> {
+            let id = self.id;
+            if self.fate != 0 && self.answered == self.stop_after {
+                if self.fate == 2 {
+                    return Some(Done::Gone);
+                }
+                return Some(match engine.cancel(id) {
+                    Ok(()) => Done::Cancelled,
+                    Err(ServiceError::UnknownSession(_)) => Done::Gone,
+                    Err(e) => panic!("cancel: {e:?}"),
+                });
+            }
+            if rng.gen_range(0..4u32) == 0 {
+                // A finish attempt, premature unless the search resolved.
+                return match engine.finish(id) {
+                    Ok(out) => {
+                        assert_eq!((self.answered, out.target), (self.expected.len(), self.z));
+                        Some(Done::Finished)
+                    }
+                    Err(ServiceError::Core(CoreError::SessionMisuse(_))) => {
+                        assert!(self.answered < self.expected.len());
+                        None
+                    }
+                    Err(ServiceError::UnknownSession(_)) => Some(Done::Gone),
+                    Err(e) => panic!("finish: {e:?}"),
+                };
+            }
+            match engine.next_question(id) {
+                Ok(SessionStep::Ask(q)) => {
+                    assert_eq!(
+                        Some(&q),
+                        self.expected.get(self.answered),
+                        "foreign question"
+                    );
+                    match engine.answer(id, dag.reaches(q, self.z)) {
+                        Ok(()) => {
+                            self.answered += 1;
+                            None
+                        }
+                        Err(ServiceError::UnknownSession(_)) => Some(Done::Gone),
+                        Err(e) => panic!("answer: {e:?}"),
+                    }
+                }
+                Ok(SessionStep::Resolved(got)) => {
+                    assert_eq!((self.answered, got), (self.expected.len(), self.z));
+                    None
+                }
+                Err(ServiceError::UnknownSession(_)) => Some(Done::Gone),
+                Err(e) => panic!("next_question: {e:?}"),
+            }
+        }
+    }
+
+    let kinds = [PolicyKind::TopDown, PolicyKind::GreedyDag];
+    let (dag, weights) = dag_plan(40, 31);
+    let spec = PlanSpec::new(dag.clone(), weights);
+
+    // Reference question sequences per (kind, target), from a quiet engine.
+    let control = SearchEngine::default();
+    let cplan = control.register_plan(spec.clone()).unwrap();
+    let reference: Vec<Vec<Vec<NodeId>>> = kinds
+        .iter()
+        .map(|&kind| {
+            dag.nodes()
+                .map(|z| {
+                    let id = control.open_session(cplan, kind).unwrap().id();
+                    let mut asked = Vec::new();
+                    while let SessionStep::Ask(q) = control.next_question(id).unwrap() {
+                        asked.push(q);
+                        control.answer(id, dag.reaches(q, z)).unwrap();
+                    }
+                    control.finish(id).unwrap();
+                    asked
+                })
+                .collect()
+        })
+        .collect();
+
+    let engine = SearchEngine::new(EngineConfig {
+        shards: 2,
+        idle_ticks: Some(IDLE),
+        ..EngineConfig::default()
+    });
+    let plan = engine.register_plan(spec).unwrap();
+    let done = AtomicBool::new(false);
+    let swept = AtomicUsize::new(0);
+    let finished = AtomicU64::new(0);
+    let cancelled = AtomicU64::new(0);
+
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                swept.fetch_add(engine.sweep_idle(), Ordering::Relaxed);
+                std::thread::yield_now();
+            }
+        });
+        let drivers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (engine, dag, reference) = (&engine, &dag, &reference);
+                let (finished, cancelled) = (&finished, &cancelled);
+                scope.spawn(move || {
+                    let mut rng = ChaCha8Rng::seed_from_u64(0xe71c + t);
+                    let mut batch: Vec<Drive> = Vec::new();
+                    let mut opened = 0;
+                    while opened < PER_THREAD || !batch.is_empty() {
+                        while opened < PER_THREAD && batch.len() < BATCH {
+                            let k = opened % kinds.len();
+                            let z = NodeId::new(rng.gen_range(0..dag.node_count()));
+                            let expected = reference[k][z.index()].clone();
+                            batch.push(Drive {
+                                id: engine.open_session(plan, kinds[k]).unwrap().id(),
+                                z,
+                                fate: rng.gen_range(0..3u32),
+                                stop_after: rng.gen_range(0..expected.len() + 1),
+                                expected,
+                                answered: 0,
+                            });
+                            opened += 1;
+                        }
+                        let i = rng.gen_range(0..batch.len());
+                        let Some(done) = batch[i].step(engine, dag, &mut rng) else {
+                            continue;
+                        };
+                        batch.swap_remove(i);
+                        match done {
+                            Done::Finished => finished.fetch_add(1, Ordering::Relaxed),
+                            Done::Cancelled => cancelled.fetch_add(1, Ordering::Relaxed),
+                            Done::Gone => 0,
+                        };
+                    }
+                })
+            })
+            .collect();
+        for d in drivers {
+            d.join().unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+
+    // Age whatever is left past the threshold, then sweep it all.
+    for _ in 0..=IDLE {
+        let probe = engine.open_session(plan, kinds[0]).unwrap().id();
+        engine.cancel(probe).unwrap();
+    }
+    let last = engine.sweep_idle();
+    assert_eq!(engine.live_sessions(), 0);
+    let stats = engine.stats();
+    assert_eq!(stats.errored + stats.panicked, 0);
+    assert_eq!(
+        stats.opened,
+        stats.finished + stats.cancelled + stats.evicted
+    );
+    assert_eq!(stats.finished, finished.load(Ordering::Relaxed));
+    assert_eq!(
+        stats.cancelled,
+        cancelled.load(Ordering::Relaxed) + IDLE + 1
+    );
+    assert_eq!(stats.evicted, (swept.load(Ordering::Relaxed) + last) as u64);
+}
+
 #[test]
 fn random_policy_sessions_complete() {
     let (dag, weights) = dag_plan(40, 17);

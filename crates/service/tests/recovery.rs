@@ -12,6 +12,7 @@ mod common;
 use std::sync::Arc;
 
 use aigs_core::{SessionStep, MAX_EXACT_NODES};
+use aigs_data::wal::{SessionWal, WalEvent};
 use aigs_graph::NodeId;
 use aigs_service::{
     DurabilityConfig, EngineConfig, FsyncPolicy, PlanSpec, PolicyKind, SearchEngine, ServiceError,
@@ -381,113 +382,6 @@ fn compaction_preserves_retired_slot_generations() {
 }
 
 #[test]
-fn legacy_v1_log_is_migrated_and_continues_bit_identically() {
-    use aigs_data::wal::{read_wal, SessionWal, WalEvent};
-
-    let dir = scratch_dir("recover-legacy-v1");
-    let spec = plan_spec();
-    let dag = spec.dag.clone();
-
-    // Build pre-crash state on a 1-shard durable engine — the only shape
-    // PR 6's v1 single-directory format could express.
-    let engine = SearchEngine::try_new(EngineConfig {
-        shards: 1,
-        ..durable_config(&dir, FsyncPolicy::Always)
-    })
-    .unwrap();
-    let plan = engine.register_plan(spec.clone()).unwrap();
-    let kinds = [
-        PolicyKind::TopDown,
-        PolicyKind::Migs,
-        PolicyKind::Random { seed: 0xfeed },
-    ];
-    type LiveRow = (SessionId, PolicyKind, NodeId, Vec<(NodeId, bool)>);
-    let mut live: Vec<LiveRow> = Vec::new();
-    for (i, &kind) in kinds.iter().enumerate() {
-        let target = NodeId::new((i * 4 + 2) % N);
-        let id = engine.open_session(plan, kind).unwrap().id();
-        let mut prefix = Vec::new();
-        for _ in 0..=i {
-            match engine.next_question(id).unwrap() {
-                SessionStep::Resolved(_) => break,
-                SessionStep::Ask(q) => {
-                    let yes = dag.reaches(q, target);
-                    prefix.push((q, yes));
-                    engine.answer(id, yes).unwrap();
-                }
-            }
-        }
-        live.push((id, kind, target, prefix));
-    }
-    drop(engine); // crash
-
-    // Rewrite the shard-0 log as a faithful v1 layout: the same events
-    // (the format bump only added ShardMeta), a version-1 header, no
-    // ShardMeta records, and the files directly under the base directory.
-    let shard0 = dir.join("shard-0");
-    let mut events = Vec::new();
-    for name in ["snapshot.log", "wal.log", "wal.new.log"] {
-        let path = shard0.join(name);
-        if path.exists() {
-            let read = read_wal(&path).unwrap();
-            assert!(read.corruption.is_none());
-            events.extend(read.events);
-        }
-    }
-    assert!(!events.is_empty());
-    let mut legacy = SessionWal::create(dir.join("wal.log"), FsyncPolicy::Always).unwrap();
-    for event in &events {
-        match event {
-            WalEvent::EngineMeta { engine_id, .. } => {
-                legacy
-                    .append(&WalEvent::EngineMeta {
-                        version: 1,
-                        engine_id: *engine_id,
-                    })
-                    .unwrap();
-            }
-            WalEvent::ShardMeta { .. } => {}
-            other => {
-                legacy.append(other).unwrap();
-            }
-        }
-    }
-    drop(legacy);
-    std::fs::remove_dir_all(&shard0).unwrap();
-
-    // Recovery migrates the layout in place and replays the v1 events.
-    let (rec, report) = SearchEngine::recover(&dir).unwrap();
-    assert_eq!(report.shards, 1);
-    assert_eq!(report.sessions, live.len());
-    assert_eq!(report.sessions_failed, 0);
-    assert!(report.corruptions.is_empty(), "{:?}", report.corruptions);
-    assert!(shard0.join("wal.log").exists());
-    assert!(!dir.join("wal.log").exists());
-
-    // Recovered sessions continue bit-identically to an uncrashed control.
-    let control = SearchEngine::default();
-    let cplan = control.register_plan(spec).unwrap();
-    for (id, kind, target, prefix) in live {
-        let (got_t, got_out) = drive_to_end(&rec, id, &dag, target);
-        let cid = open_and_replay(&control, cplan, kind, &prefix);
-        let (want_t, want_out) = drive_to_end(&control, cid, &dag, target);
-        assert_eq!(got_t, want_t, "{kind:?}: continuation diverged");
-        assert_eq!(got_out.target, want_out.target);
-        assert_eq!(
-            got_out.price.to_bits(),
-            want_out.price.to_bits(),
-            "{kind:?}: price bits diverged"
-        );
-    }
-
-    // The migrated directory now recovers as an ordinary v2 layout.
-    drop(rec);
-    let (rec2, report2) = SearchEngine::recover(&dir).unwrap();
-    assert!(report2.anomalies.is_empty(), "{:?}", report2.anomalies);
-    drop(rec2);
-}
-
-#[test]
 fn recovery_error_paths_are_typed() {
     // recover_with demands a durability config…
     let err = SearchEngine::recover_with(EngineConfig::default()).unwrap_err();
@@ -495,4 +389,20 @@ fn recovery_error_paths_are_typed() {
     // …and an empty directory has nothing to recover from.
     let err = SearchEngine::recover(scratch_dir("recover-empty")).unwrap_err();
     assert!(matches!(err, ServiceError::Durability(_)));
+    // A flat pre-shard layout (a format-v1 `wal.log` directly under the
+    // directory) is refused, not migrated, and left where it is.
+    let flat = scratch_dir("recover-flat");
+    std::fs::create_dir_all(&flat).unwrap();
+    let mut wal = SessionWal::create(flat.join("wal.log"), FsyncPolicy::Always).unwrap();
+    wal.append(&WalEvent::EngineMeta {
+        version: 1,
+        engine_id: 7,
+    })
+    .unwrap();
+    drop(wal);
+    let before = std::fs::read(flat.join("wal.log")).unwrap();
+    let err = SearchEngine::recover(&flat).unwrap_err();
+    assert!(matches!(err, ServiceError::Durability(_)), "{err:?}");
+    assert_eq!(std::fs::read(flat.join("wal.log")).unwrap(), before);
+    assert!(!flat.join("shard-0").exists());
 }
