@@ -24,17 +24,17 @@
 //!   the serving path). Compare against the matching `service_step` row
 //!   for the durability overhead; the ≤25% budget is stated for the
 //!   DAG-serving configurations benched here. The floor is one `write(2)`
-//!   per acknowledged record (~0.4–0.7 µs on this machine, measured by
-//!   `examples/walstep.rs`) — sub-microsecond policies like top-down or
-//!   MIGS pay a 2–3x multiple of their tiny step cost and are excluded
-//!   rather than pretending the syscall can be amortised away without
-//!   platform-specific I/O. Caveat for single-vCPU VMs (including the
+//!   per acknowledged record (`wal.append_ns` of a traced
+//!   `perfbench --workload engine-durable --trace 1` run) —
+//!   sub-microsecond policies like top-down or MIGS pay a 2–3x multiple
+//!   of their tiny step cost and are excluded rather than pretending the
+//!   syscall can be amortised away without platform-specific I/O. Caveat for single-vCPU VMs (including the
 //!   committed-baseline machine): the group-commit thread's periodic
 //!   sleeps change how the host schedules the busy guest, and WAL-on
 //!   rows can measure *below* the WAL-off baseline — reproducibly, and
 //!   for greedy-dag by ~30%. Treat cross-row ratios on such hosts as
-//!   bounded-above rather than exact; `walstep`'s `never` mode isolates
-//!   the true per-append cost.
+//!   bounded-above rather than exact; the traced `engine-durable` run's
+//!   `wal.append_ns` is the per-append cost.
 //! * `service_recovery/{policy}-{backend}/{live}` — rebuilding an engine
 //!   from the log of `live` in-flight sessions via `SearchEngine::recover`
 //!   (replay + fresh compacting snapshot): sessions/sec = live × 1e9 /

@@ -25,6 +25,11 @@ pub enum ChildOrder {
     SubtreeWeightDesc,
 }
 
+/// Undo entries a reset instance keeps allocated: enough for a typical
+/// session without regrowing from empty, small enough that a pool of
+/// thousands of instances holds ~0.5 KiB each at most.
+const UNDO_RETAIN: usize = 64;
+
 /// Top-down descent policy.
 ///
 /// The default `Input` ordering reads children straight out of the
@@ -48,7 +53,10 @@ pub struct TopDownPolicy {
     lazy_metric: HashMap<NodeId, f64>,
     /// Token the ordering caches were derived under.
     base_token: u64,
-    undo: Vec<(NodeId, usize)>,
+    /// `(node, idx)` before each observed answer. `reset` trims its
+    /// capacity to [`UNDO_RETAIN`], so a pooled instance does not keep the
+    /// longest history any earlier session gave it.
+    undo: Vec<(NodeId, u32)>,
     resolved: Option<NodeId>,
     started: bool,
 }
@@ -162,6 +170,7 @@ impl Policy for TopDownPolicy {
         self.node = ctx.dag.root();
         self.idx = 0;
         self.undo.clear();
+        self.undo.shrink_to(UNDO_RETAIN);
         self.started = true;
         // The ordering caches depend only on (dag, weights): keep them
         // across sessions when the cache token certifies the same instance.
@@ -204,7 +213,8 @@ impl Policy for TopDownPolicy {
     }
 
     fn observe(&mut self, ctx: &SearchContext<'_>, q: NodeId, yes: bool) {
-        self.undo.push((self.node, self.idx));
+        let idx = u32::try_from(self.idx).expect("child position fits u32");
+        self.undo.push((self.node, idx));
         let (node, idx) = (self.node, self.idx);
         debug_assert_eq!(
             q,
@@ -223,7 +233,7 @@ impl Policy for TopDownPolicy {
     fn unobserve(&mut self, ctx: &SearchContext<'_>) {
         let (node, idx) = self.undo.pop().expect("nothing to unobserve");
         self.node = node;
-        self.idx = idx;
+        self.idx = idx as usize;
         self.refresh_resolution(ctx);
     }
 
@@ -369,6 +379,31 @@ mod tests {
                 assert_eq!(p.select(&ctx), NodeId::new(2), "0.0 ties in id order");
             }
         }
+    }
+
+    #[test]
+    fn reset_bounds_retained_undo_capacity() {
+        // A star: its last leaf costs one `no` per earlier child.
+        let n = 1000;
+        let edges: Vec<(u32, u32)> = (1..n).map(|c| (0, c)).collect();
+        let g = dag_from_edges(n as usize, &edges).unwrap();
+        let w = NodeWeights::uniform(n as usize);
+        let ctx = SearchContext::new(&g, &w);
+        let target = NodeId::new(n as usize - 1);
+        let mut p = TopDownPolicy::new();
+        p.reset(&ctx);
+        while p.resolved().is_none() {
+            let q = p.select(&ctx);
+            p.observe(&ctx, q, q == target);
+        }
+        assert_eq!(p.resolved(), Some(target));
+        assert_eq!(p.undo.len(), n as usize - 1);
+        p.reset(&ctx);
+        assert!(
+            p.undo.capacity() <= UNDO_RETAIN,
+            "reset kept {} undo entries allocated",
+            p.undo.capacity()
+        );
     }
 
     #[test]

@@ -105,6 +105,25 @@ pub enum WalEvent {
         /// The oracle's verdict.
         yes: bool,
     },
+    /// A live session's whole durable state in one record, written by
+    /// snapshot compaction: the open plus its answer history, bit-packed on
+    /// disk as a `u32` count and `ceil(count / 8)` bytes, least significant
+    /// bit first, zero padding. Replay folds it exactly as
+    /// [`WalEvent::SessionOpened`] followed by [`WalEvent::Answered`] for
+    /// `seq` `0..answers.len()`, so a tail that repeats some of these
+    /// answers skips them by sequence number as before.
+    SessionSnapshot {
+        /// Slab slot index.
+        index: u32,
+        /// Slot generation at open.
+        generation: u32,
+        /// Registration index of the session's plan.
+        plan: u32,
+        /// Policy-kind code (service-defined tag + seed).
+        kind: KindCode,
+        /// The acknowledged answers, in order (`answers[seq]`).
+        answers: Vec<bool>,
+    },
     /// The session finished with an outcome.
     Finished {
         /// Slab slot index.
@@ -142,8 +161,11 @@ pub enum WalEvent {
 }
 
 /// Current WAL format version. Version 2 added [`WalEvent::ShardMeta`]
-/// alongside the per-shard log-directory layout.
-pub const WAL_VERSION: u16 = 2;
+/// alongside the per-shard log-directory layout; version 3 added
+/// [`WalEvent::SessionSnapshot`], which snapshots write in place of a
+/// `SessionOpened` + `Answered…` run per live session. Every version-1
+/// and version-2 record still decodes, and readers fold all three.
+pub const WAL_VERSION: u16 = 3;
 
 /// A service-defined policy selector: a tag plus a seed (zero for unseeded
 /// kinds). The WAL does not interpret it; it only round-trips it.
@@ -497,6 +519,7 @@ const TAG_CANCELLED: u8 = 0x06;
 const TAG_EVICTED: u8 = 0x07;
 const TAG_SLOT_RETIRED: u8 = 0x08;
 const TAG_SHARD_META: u8 = 0x09;
+const TAG_SESSION_SNAPSHOT: u8 = 0x0A;
 
 fn encode_record(event: &WalEvent, out: &mut Vec<u8>) {
     let base = out.len(); // records may accumulate in one batch buffer
@@ -569,11 +592,33 @@ fn encode_event(event: &WalEvent, out: &mut Vec<u8>) {
             kind,
         } => {
             out.push(TAG_OPENED);
-            out.extend_from_slice(&index.to_le_bytes());
-            out.extend_from_slice(&generation.to_le_bytes());
-            out.extend_from_slice(&plan.to_le_bytes());
-            out.push(kind.tag);
-            out.extend_from_slice(&kind.seed.to_le_bytes());
+            encode_open(*index, *generation, *plan, *kind, out);
+        }
+        WalEvent::SessionSnapshot {
+            index,
+            generation,
+            plan,
+            kind,
+            answers,
+        } => {
+            out.push(TAG_SESSION_SNAPSHOT);
+            encode_open(*index, *generation, *plan, *kind, out);
+            // A history longer than the decoder accepts would make the
+            // whole snapshot unreadable; sessions stop far below it (the
+            // engine's per-session query cap).
+            assert!(
+                answers.len() <= MAX_RECORD_PAYLOAD,
+                "answer history of {} exceeds the record format",
+                answers.len()
+            );
+            out.extend_from_slice(&(answers.len() as u32).to_le_bytes());
+            for chunk in answers.chunks(8) {
+                let byte = chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u8, |b, (i, &yes)| b | (u8::from(yes) << i));
+                out.push(byte);
+            }
         }
         WalEvent::Answered {
             index,
@@ -601,6 +646,32 @@ fn encode_event(event: &WalEvent, out: &mut Vec<u8>) {
             out.extend_from_slice(&generation.to_le_bytes());
         }
     }
+}
+
+fn encode_open(index: u32, generation: u32, plan: u32, kind: KindCode, out: &mut Vec<u8>) {
+    out.extend_from_slice(&index.to_le_bytes());
+    out.extend_from_slice(&generation.to_le_bytes());
+    out.extend_from_slice(&plan.to_le_bytes());
+    out.push(kind.tag);
+    out.extend_from_slice(&kind.seed.to_le_bytes());
+}
+
+/// Decodes a [`WalEvent::SessionSnapshot`]'s bit-packed history: a count
+/// above [`MAX_RECORD_PAYLOAD`], a bitmap shorter than the count needs, or
+/// a set padding bit in the last byte is corruption.
+fn decode_answer_bits(c: &mut Cur<'_>) -> Result<Vec<bool>, String> {
+    let count = c.u32()? as usize;
+    if count > MAX_RECORD_PAYLOAD {
+        return Err("answer count exceeds format maximum".to_owned());
+    }
+    let bytes = c.take(count.div_ceil(8))?;
+    let last_bits = count % 8;
+    if last_bits != 0 && bytes[bytes.len() - 1] >> last_bits != 0 {
+        return Err("non-zero padding bits in answer bitmap".to_owned());
+    }
+    Ok((0..count)
+        .map(|i| (bytes[i / 8] >> (i % 8)) & 1 == 1)
+        .collect())
 }
 
 /// A cursor over a payload that fails (with a reason) instead of panicking
@@ -719,6 +790,16 @@ fn decode_event(payload: &[u8]) -> Result<WalEvent, String> {
                 tag: c.u8()?,
                 seed: c.u64()?,
             },
+        },
+        TAG_SESSION_SNAPSHOT => WalEvent::SessionSnapshot {
+            index: c.u32()?,
+            generation: c.u32()?,
+            plan: c.u32()?,
+            kind: KindCode {
+                tag: c.u8()?,
+                seed: c.u64()?,
+            },
+            answers: decode_answer_bits(&mut c)?,
         },
         TAG_ANSWERED => WalEvent::Answered {
             index: c.u32()?,
@@ -856,6 +937,18 @@ mod tests {
                 index: 0,
                 generation: 7,
             },
+            WalEvent::SessionSnapshot {
+                index: 3,
+                generation: 1,
+                plan: 1,
+                kind: KindCode {
+                    tag: 0x88,
+                    seed: 0xfeed,
+                },
+                answers: vec![
+                    true, false, false, true, true, false, true, true, false, true,
+                ],
+            },
             WalEvent::Cancelled {
                 index: 1,
                 generation: 0,
@@ -988,17 +1081,81 @@ mod tests {
     fn valid_crc_bad_payload_is_typed() {
         // A record whose payload decodes to an unknown tag must stop the
         // read with a reason, not panic or fabricate an event.
-        let payload = [0x7F, 1, 2, 3];
-        let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        let read = decode_wal(&bytes);
+        let read = decode_wal(&frame(&[0x7F, 1, 2, 3]));
         assert!(read.events.is_empty());
         assert!(read
             .corruption
             .unwrap()
             .reason
             .contains("unknown event tag"));
+    }
+
+    fn snapshot_with(answers: Vec<bool>) -> WalEvent {
+        WalEvent::SessionSnapshot {
+            index: 5,
+            generation: 2,
+            plan: 0,
+            kind: KindCode { tag: 0, seed: 0 },
+            answers,
+        }
+    }
+
+    /// A framed record around a hand-made payload (valid length and CRC).
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn session_snapshot_roundtrips_bit_packed() {
+        // 4·n + 64 is the engine's per-session safety cap on a 3 000-node
+        // plan, the longest history a snapshot can hold for it.
+        for count in [0usize, 1, 7, 8, 9, 155, 4 * 3000 + 64] {
+            let answers: Vec<bool> = (0..count).map(|i| (i * 7 + i / 3) % 5 < 2).collect();
+            let event = snapshot_with(answers);
+            let bytes = encode_record_bytes(&event);
+            // Header 8 + tag 1 + open 21 + count 4 + bitmap.
+            assert_eq!(
+                bytes.len(),
+                8 + 1 + 21 + 4 + count.div_ceil(8),
+                "count {count}"
+            );
+            let read = decode_wal(&bytes);
+            assert!(read.corruption.is_none(), "count {count}");
+            assert_eq!(read.events, vec![event], "count {count}");
+        }
+        // LSB first: answers [yes, no, yes] pack to 0b101.
+        let bytes = encode_record_bytes(&snapshot_with(vec![true, false, true]));
+        assert_eq!(bytes[bytes.len() - 5..], [3, 0, 0, 0, 0b101]);
+    }
+
+    #[test]
+    fn session_snapshot_decoder_rejects_malformed_bitmaps() {
+        let good = encode_record_bytes(&snapshot_with(vec![true; 10]));
+        let payload = &good[8..];
+        let count_at = payload.len() - 2 - 4;
+        let reason = |payload: &[u8]| {
+            let read = decode_wal(&frame(payload));
+            assert!(read.events.is_empty());
+            read.corruption.expect("typed corruption").reason
+        };
+        // Truncated bitmap: the count promises two bytes, one is present.
+        assert!(reason(&payload[..payload.len() - 1]).contains("shorter"));
+        // A set padding bit past answer 10.
+        let mut padded = payload.to_vec();
+        *padded.last_mut().unwrap() |= 0x80;
+        assert!(reason(&padded).contains("padding"));
+        // A count above the record maximum is refused before allocating.
+        let mut huge = payload.to_vec();
+        huge[count_at..count_at + 4]
+            .copy_from_slice(&(MAX_RECORD_PAYLOAD as u32 + 1).to_le_bytes());
+        assert!(reason(&huge).contains("maximum"));
+        // A bitmap longer than the count needs.
+        let mut long = payload.to_vec();
+        long.push(0);
+        assert!(reason(&long).contains("longer"));
     }
 
     #[test]

@@ -83,9 +83,23 @@ fn events_from_ops(ops: &[(u8, u32, bool)]) -> Vec<WalEvent> {
                 shard: x % 8,
                 shards: 1 + x % 8,
             },
-            _ => WalEvent::SlotRetired {
+            7 => WalEvent::SlotRetired {
                 index: x % 9,
                 generation: x / 9,
+            },
+            // Histories of 0..=40 answers cover empty, partial-byte and
+            // whole-byte bitmaps.
+            _ => WalEvent::SessionSnapshot {
+                index: x % 9,
+                generation: x / 9,
+                plan: x % 3,
+                kind: KindCode {
+                    tag: (x % 9) as u8,
+                    seed: if flag { u64::from(x) } else { 0 },
+                },
+                answers: (0..x % 41)
+                    .map(|i| (x >> (i % 8)) & 1 == u32::from(flag))
+                    .collect(),
             },
         };
         events.push(ev);
@@ -128,7 +142,7 @@ proptest! {
 
     #[test]
     fn truncation_at_every_offset_recovers_a_strict_prefix(
-        ops in prop::collection::vec((0u8..8, 0u32..200, prop::bool::ANY), 1..20),
+        ops in prop::collection::vec((0u8..9, 0u32..200, prop::bool::ANY), 1..20),
     ) {
         let events = events_from_ops(&ops);
         let (bytes, ends) = encode_all(&events);
@@ -160,7 +174,7 @@ proptest! {
 
     #[test]
     fn bit_flips_never_panic_or_fabricate_events(
-        ops in prop::collection::vec((0u8..8, 0u32..200, prop::bool::ANY), 1..16),
+        ops in prop::collection::vec((0u8..9, 0u32..200, prop::bool::ANY), 1..16),
         bit in 0u8..8,
     ) {
         let events = events_from_ops(&ops);
@@ -189,7 +203,7 @@ proptest! {
 
     #[test]
     fn appended_garbage_cannot_survive_the_checksum(
-        ops in prop::collection::vec((0u8..8, 0u32..200, prop::bool::ANY), 1..10),
+        ops in prop::collection::vec((0u8..9, 0u32..200, prop::bool::ANY), 1..10),
         junk in prop::collection::vec(0u8..255, 1..64),
     ) {
         // A crash may leave arbitrary bytes past the last intact record

@@ -13,9 +13,13 @@
 //! log files, replayed in order:
 //!
 //! 1. `snapshot.log` — a compacted WAL: engine + shard metadata, the plan
-//!    payloads (shard 0 only — plans are global), and one `SessionOpened` +
-//!    `Answered…` run per live session of that shard, capturing the state
-//!    at the last compaction.
+//!    payloads (shard 0 only — plans are global), and one
+//!    [`WalEvent::SessionSnapshot`] per live session of that shard (its
+//!    open and its bit-packed answer history), capturing the state at the
+//!    last compaction. A compaction therefore writes one record per live
+//!    session, not one per live answer. Snapshots from format version 2
+//!    hold a `SessionOpened` + `Answered…` run per session instead; they
+//!    fold to the same state.
 //! 2. `wal.log` — the append tail.
 //! 3. `wal.new.log` — the rotated tail a compaction switched the writer to
 //!    before collecting its snapshot (present only mid-compaction or after
@@ -34,7 +38,8 @@
 //! `wal.new.log` to `wal.log` → fsync the directory again. A crash between
 //! any two steps leaves a file set whose in-order replay reproduces the
 //! same state, because replay is **idempotent**: answers carry per-session
-//! sequence numbers (duplicates skip), re-opens of a live generation skip,
+//! sequence numbers (duplicates skip; a `SessionSnapshot`'s answers are
+//! sequence numbers `0..len`), re-opens of a live generation skip,
 //! and events for stale generations skip. The directory fsyncs order the
 //! metadata operations across power loss: the old tail's removal can never
 //! outlive the snapshot rename that supersedes it (file-content fsyncs
@@ -1010,13 +1015,67 @@ impl ReplayState {
         }
     }
 
+    fn open(&mut self, index: u32, generation: u32, plan: u32, kind: KindCode) {
+        self.note_gen(index, generation);
+        if self.retired.contains(&(index, generation)) || generation < self.floors[index as usize] {
+            return;
+        }
+        let fresh = ReplaySession {
+            generation,
+            plan,
+            kind,
+            answers: Vec::new(),
+        };
+        let slot = &mut self.sessions[index as usize];
+        match slot {
+            Some(existing) if existing.generation >= generation => {} // dup/stale
+            Some(existing) => {
+                // A newer tenant without a logged retire of the old one:
+                // cannot happen with this crate's append ordering, but
+                // converge on the newer state.
+                self.anomalies.push(format!(
+                    "slot {index}: generation {} superseded by {generation} \
+                     without a retire event",
+                    existing.generation
+                ));
+                *slot = Some(fresh);
+            }
+            None => {
+                *slot = Some(fresh);
+                self.counters.opened += 1;
+            }
+        }
+    }
+
+    /// Folds answers `first_seq..first_seq + run.len()` of one session,
+    /// exactly as one [`WalEvent::Answered`] per answer in order would:
+    /// positions already held are duplicates from an overlap window and
+    /// skip, and a run starting past the held history is a gap.
+    fn answer_run(&mut self, index: u32, generation: u32, first_seq: usize, run: &[bool]) {
+        self.note_gen(index, generation);
+        let Some(session) = self.sessions[index as usize]
+            .as_mut()
+            .filter(|s| s.generation == generation)
+        else {
+            return; // stale generation or unknown session
+        };
+        let held = session.answers.len();
+        if first_seq > held {
+            self.anomalies.push(format!(
+                "slot {index} gen {generation}: answer seq {first_seq} skips ahead of {held}"
+            ));
+        } else if let Some(new) = run.get(held - first_seq..) {
+            session.answers.extend_from_slice(new);
+        }
+    }
+
     pub(crate) fn apply(&mut self, event: &WalEvent) {
         match event {
             WalEvent::EngineMeta { version, engine_id } => {
-                // Version 1 (the pre-shard format) differs only in
-                // directory layout and the absence of ShardMeta records;
-                // the event encoding is unchanged, so replay accepts it.
-                // Anything else is unreadable.
+                // Version 1 (the pre-shard format) lacks ShardMeta and the
+                // shard-<k>/ layout, and version 2 lacks SessionSnapshot:
+                // each writes a subset of today's events, so replay accepts
+                // both. Anything else is unreadable.
                 if !(1..=WAL_VERSION).contains(version) {
                     self.unsupported_version.get_or_insert(*version);
                     self.anomalies
@@ -1053,66 +1112,23 @@ impl ReplayState {
                 generation,
                 plan,
                 kind,
+            } => self.open(*index, *generation, *plan, *kind),
+            WalEvent::SessionSnapshot {
+                index,
+                generation,
+                plan,
+                kind,
+                answers,
             } => {
-                self.note_gen(*index, *generation);
-                if self.retired.contains(&(*index, *generation))
-                    || *generation < self.floors[*index as usize]
-                {
-                    return;
-                }
-                let slot = &mut self.sessions[*index as usize];
-                match slot {
-                    Some(existing) if existing.generation >= *generation => {} // dup/stale
-                    Some(existing) => {
-                        // A newer tenant without a logged retire of the old
-                        // one: cannot happen with this crate's append
-                        // ordering, but converge on the newer state.
-                        self.anomalies.push(format!(
-                            "slot {index}: generation {} superseded by {generation} \
-                             without a retire event",
-                            existing.generation
-                        ));
-                        *slot = Some(ReplaySession {
-                            generation: *generation,
-                            plan: *plan,
-                            kind: *kind,
-                            answers: Vec::new(),
-                        });
-                    }
-                    None => {
-                        *slot = Some(ReplaySession {
-                            generation: *generation,
-                            plan: *plan,
-                            kind: *kind,
-                            answers: Vec::new(),
-                        });
-                        self.counters.opened += 1;
-                    }
-                }
+                self.open(*index, *generation, *plan, *kind);
+                self.answer_run(*index, *generation, 0, answers);
             }
             WalEvent::Answered {
                 index,
                 generation,
                 seq,
                 yes,
-            } => {
-                self.note_gen(*index, *generation);
-                let Some(session) = self.sessions[*index as usize]
-                    .as_mut()
-                    .filter(|s| s.generation == *generation)
-                else {
-                    return; // stale generation or unknown session
-                };
-                let seq = *seq as usize;
-                match seq.cmp(&session.answers.len()) {
-                    std::cmp::Ordering::Equal => session.answers.push(*yes),
-                    std::cmp::Ordering::Less => {} // duplicate from an overlap window
-                    std::cmp::Ordering::Greater => self.anomalies.push(format!(
-                        "slot {index} gen {generation}: answer seq {seq} skips ahead of {}",
-                        session.answers.len()
-                    )),
-                }
-            }
+            } => self.answer_run(*index, *generation, *seq as usize, &[*yes]),
             WalEvent::Finished { index, generation } => {
                 self.retire(*index, *generation, |c| &mut c.finished);
             }
@@ -1147,6 +1163,7 @@ impl ReplayState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn kind_codes_roundtrip() {
@@ -1352,5 +1369,84 @@ mod tests {
         assert_eq!(rs.engine_id, Some(7));
         assert_eq!(rs.unsupported_version, None);
         assert!(rs.anomalies.is_empty());
+    }
+
+    /// Slot 3's session as `(generation, plan, kind, answers)`.
+    type FoldedSlot = Option<(u32, u32, KindCode, Vec<bool>)>;
+
+    /// Everything the fold produces for slot 3, comparable.
+    fn folded(events: &[WalEvent]) -> (FoldedSlot, u64, Vec<String>) {
+        let mut rs = ReplayState::default();
+        for ev in events {
+            rs.apply(ev);
+        }
+        let session = rs.sessions[3]
+            .as_ref()
+            .map(|s| (s.generation, s.plan, s.kind, s.answers.clone()));
+        assert_eq!(rs.max_gen[3], Some(5));
+        (session, rs.counters.opened, rs.anomalies)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A `SessionSnapshot` folds like the `SessionOpened` + `Answered…`
+        /// stream it replaces, whatever surrounds it: a lead of already
+        /// logged answers, and a tail that repeats some of its answers
+        /// (the overlap a mid-compaction crash leaves) or skips ahead.
+        #[test]
+        fn session_snapshot_folds_like_open_plus_answers(
+            history in prop::collection::vec(prop::bool::ANY, 0..40),
+            lead in 0usize..48,
+            tail_from in 0usize..48,
+            extra in prop::collection::vec(prop::bool::ANY, 0..6),
+            reopen in proptest::prelude::prop::bool::ANY,
+        ) {
+            let (index, generation, plan) = (3, 5, 1);
+            let kind = kind_code(PolicyKind::TopDown);
+            let open = WalEvent::SessionOpened { index, generation, plan, kind };
+            let full: Vec<bool> = history.iter().chain(&extra).copied().collect();
+            let answers = |seqs: std::ops::Range<usize>| -> Vec<WalEvent> {
+                seqs.map(|seq| WalEvent::Answered {
+                    index,
+                    generation,
+                    seq: seq as u32,
+                    yes: full[seq],
+                })
+                .collect()
+            };
+            let lead = lead.min(full.len());
+            let tail_from = tail_from.min(full.len());
+            let mut before = vec![open.clone()];
+            before.extend(answers(0..lead));
+            let mut tail = Vec::new();
+            if reopen {
+                tail.push(open.clone());
+            }
+            tail.extend(answers(tail_from..full.len()));
+
+            let mut snapshot = before.clone();
+            snapshot.push(WalEvent::SessionSnapshot {
+                index,
+                generation,
+                plan,
+                kind,
+                answers: history.clone(),
+            });
+            snapshot.extend(tail.iter().cloned());
+            let mut legacy = before;
+            legacy.push(open);
+            legacy.extend(answers(0..history.len()));
+            legacy.extend(tail);
+            let got = folded(&snapshot);
+            prop_assert_eq!(&got, &folded(&legacy));
+            // Held answers are always a prefix of `full`: the lead, then
+            // the snapshot, then the tail when it starts within them.
+            let mut held = lead.max(history.len());
+            if tail_from <= held {
+                held = full.len();
+            }
+            prop_assert_eq!(got.0.map(|s| s.3), Some(full[..held].to_vec()));
+        }
     }
 }

@@ -1496,6 +1496,20 @@ impl SearchEngine {
             );
             render_histogram(&mut out, "aigs_wal_fsync_batch", "", &telem.wal.fsync_batch);
         }
+        let _ = writeln!(
+            out,
+            "aigs_wal_snapshot_bytes_total {}",
+            telem.wal.snapshot_bytes
+        );
+        if telem.wal.compaction_ns.count() > 0 {
+            let _ = writeln!(out, "# TYPE aigs_wal_compaction_duration_ns histogram");
+            render_histogram(
+                &mut out,
+                "aigs_wal_compaction_duration_ns",
+                "",
+                &telem.wal.compaction_ns,
+            );
+        }
 
         let _ = writeln!(out, "# TYPE aigs_plan_realized_queries histogram");
         for plan in &telem.plans {
@@ -1642,17 +1656,21 @@ impl SearchEngine {
         if wal.compacting.swap(true, Ordering::SeqCst) {
             return Ok(());
         }
-        let result = (|| {
+        let telemetry = &self.shards[shard_k].telemetry;
+        let timer = telemetry.enabled().then(std::time::Instant::now);
+        let result = (|| -> Result<u64, ServiceError> {
             wal.rotate()?;
             let tmp = wal.config.dir.join(SNAPSHOT_TMP_FILE);
-            self.write_shard_snapshot(&tmp, shard_k)?;
-            wal.publish_snapshot()
+            let bytes = self.write_shard_snapshot(&tmp, shard_k)?;
+            wal.publish_snapshot()?;
+            Ok(bytes)
         })();
         wal.compacting.store(false, Ordering::SeqCst);
-        if result.is_ok() {
-            self.shards[shard_k].telemetry.wal_compaction();
+        let bytes = result?;
+        if let Some(t) = timer {
+            telemetry.wal_compaction(t.elapsed().as_nanos() as u64, bytes);
         }
-        result
+        Ok(())
     }
 
     fn maybe_autocompact(&self, shard_k: usize) {
@@ -1670,32 +1688,35 @@ impl SearchEngine {
     }
 
     /// Writes one shard's compacted WAL (identity header + live sessions,
-    /// plus the plan payloads on shard 0) to `path` and fsyncs it. Used by
-    /// both compaction and post-recovery re-initialisation; never touches
-    /// the shard's tail writer, so it needs no lock ordering against
-    /// appends beyond the per-slot locks.
-    fn write_shard_snapshot(&self, path: &Path, shard_k: usize) -> Result<(), ServiceError> {
+    /// plus the plan payloads on shard 0) to `path`, fsyncs it, and
+    /// returns its size in bytes. Used by both compaction and
+    /// post-recovery re-initialisation; never touches the shard's tail
+    /// writer, so it needs no lock ordering against appends beyond the
+    /// per-slot locks.
+    fn write_shard_snapshot(&self, path: &Path, shard_k: usize) -> Result<u64, ServiceError> {
         let shard = &self.shards[shard_k];
         let mut snap = SessionWal::create(path, FsyncPolicy::Never).map_err(durability_err)?;
-        snap.append_buffered(&WalEvent::EngineMeta {
+        let mut bytes = 0u64;
+        let mut append = |event: &WalEvent| -> Result<(), ServiceError> {
+            bytes += snap.append_buffered(event).map_err(durability_err)? as u64;
+            Ok(())
+        };
+        append(&WalEvent::EngineMeta {
             version: WAL_VERSION,
             engine_id: self.engine_id,
-        })
-        .map_err(durability_err)?;
-        snap.append_buffered(&WalEvent::ShardMeta {
+        })?;
+        append(&WalEvent::ShardMeta {
             shard: shard_k as u32,
             shards: self.shards.len() as u32,
-        })
-        .map_err(durability_err)?;
+        })?;
         if shard_k == 0 {
             let plans = self.plans.read().expect("plans lock poisoned");
             for (i, entry) in plans.iter().enumerate() {
                 let (dag, weights, costs, reach, compiled) = entry.artifacts();
-                snap.append_buffered(&WalEvent::PlanRegistered {
+                append(&WalEvent::PlanRegistered {
                     plan: i as u32,
                     payload: plan_payload(dag, weights, costs, reach, compiled),
-                })
-                .map_err(durability_err)?;
+                })?;
             }
         }
         let slots: Vec<(u32, Arc<Mutex<Slot>>)> = {
@@ -1717,35 +1738,25 @@ impl SearchEngine {
                 // must park the slot here, not rebuild it at generation 0
                 // where a stale pre-crash id would alias the next tenant.
                 if slot.generation > 0 {
-                    snap.append_buffered(&WalEvent::SlotRetired {
+                    append(&WalEvent::SlotRetired {
                         index: local,
                         generation: slot.generation,
-                    })
-                    .map_err(durability_err)?;
+                    })?;
                 }
                 continue;
             };
             // The mode bit records the session's CURRENT tier, not the one
             // it opened on: a fallen-back session snapshots as plain live.
-            snap.append_buffered(&WalEvent::SessionOpened {
+            append(&WalEvent::SessionSnapshot {
                 index: local,
                 generation: slot.generation,
                 plan: s.plan_index,
                 kind: session_kind_code(s.kind, s.core.is_compiled()),
-            })
-            .map_err(durability_err)?;
-            for (seq, &yes) in s.answers.iter().enumerate() {
-                snap.append_buffered(&WalEvent::Answered {
-                    index: local,
-                    generation: slot.generation,
-                    seq: seq as u32,
-                    yes,
-                })
-                .map_err(durability_err)?;
-            }
+                answers: s.answers.clone(),
+            })?;
         }
         snap.sync().map_err(durability_err)?;
-        Ok(())
+        Ok(bytes)
     }
 
     /// Atomically claims one unit of live capacity; callers must release it

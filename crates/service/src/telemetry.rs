@@ -59,7 +59,8 @@
 //!   group-commit thread and explicit syncs; [`aigs_data::wal::FsyncPolicy::Always`]
 //!   syncs inside the writer and is not separately timed), group-commit
 //!   flush signals (vs. actual fsyncs — the gap is coalescing), snapshot
-//!   compactions, and degraded-mode transitions.
+//!   compactions (each one timed, with the bytes its snapshot wrote), and
+//!   degraded-mode transitions.
 //! * Per **plan × policy kind** realized cost: a histogram of oracle
 //!   queries per finished session plus the summed price, next to the
 //!   policy's *predicted* expected cost
@@ -387,8 +388,13 @@ pub(crate) struct WalTelemetry {
     /// between this and `fsync_batch.count()` is coalescing: signals that
     /// folded into an already-pending flush.
     pub(crate) flush_signals: AtomicU64,
-    /// Snapshot compactions completed on this shard.
-    pub(crate) compactions: AtomicU64,
+    /// Wall time of each completed compaction (rotate, snapshot write and
+    /// fsync, publish) in nanoseconds; its count is the compactions
+    /// completed on this shard. A compaction runs inline on the operation
+    /// that crossed the auto-compaction threshold.
+    pub(crate) compaction_ns: Histogram,
+    /// Bytes written to published snapshots.
+    pub(crate) snapshot_bytes: AtomicU64,
     /// Degraded-mode transitions attributed to this shard's log (at most
     /// one per engine lifetime today — the flag latches).
     pub(crate) degraded_transitions: AtomicU64,
@@ -402,7 +408,8 @@ impl WalTelemetry {
             fsync_batch: Histogram::new(),
             fsync_ns: Histogram::new(),
             flush_signals: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
+            compaction_ns: Histogram::new(),
+            snapshot_bytes: AtomicU64::new(0),
             degraded_transitions: AtomicU64::new(0),
         }
     }
@@ -568,10 +575,12 @@ impl ShardTelemetry {
         }
     }
 
-    /// One completed snapshot compaction.
-    pub(crate) fn wal_compaction(&self) {
+    /// One completed snapshot compaction that took `ns` and wrote a
+    /// snapshot of `bytes`.
+    pub(crate) fn wal_compaction(&self, ns: u64, bytes: u64) {
         if self.enabled {
-            self.wal.compactions.fetch_add(1, Ordering::Relaxed);
+            self.wal.compaction_ns.record(ns);
+            self.wal.snapshot_bytes.fetch_add(bytes, Ordering::Relaxed);
         }
     }
 
@@ -692,6 +701,10 @@ pub struct WalMetrics {
     pub flush_signals: u64,
     /// Snapshot compactions completed.
     pub compactions: u64,
+    /// Compaction wall time (ns), one sample per completed compaction.
+    pub compaction_ns: HistSnapshot,
+    /// Bytes written to published snapshots.
+    pub snapshot_bytes: u64,
     /// Degraded-mode transitions recorded at WAL failure sites.
     pub degraded_transitions: u64,
 }
@@ -703,6 +716,8 @@ impl WalMetrics {
         self.fsync_ns.merge(&other.fsync_ns);
         self.flush_signals += other.flush_signals;
         self.compactions += other.compactions;
+        self.compaction_ns.merge(&other.compaction_ns);
+        self.snapshot_bytes += other.snapshot_bytes;
         self.degraded_transitions += other.degraded_transitions;
     }
 
@@ -713,6 +728,8 @@ impl WalMetrics {
             fsync_ns: self.fsync_ns.minus(&earlier.fsync_ns),
             flush_signals: self.flush_signals.saturating_sub(earlier.flush_signals),
             compactions: self.compactions.saturating_sub(earlier.compactions),
+            compaction_ns: self.compaction_ns.minus(&earlier.compaction_ns),
+            snapshot_bytes: self.snapshot_bytes.saturating_sub(earlier.snapshot_bytes),
             degraded_transitions: self
                 .degraded_transitions
                 .saturating_sub(earlier.degraded_transitions),
@@ -788,12 +805,15 @@ impl TelemetrySnapshot {
                 h.merge(&cell.op_tier_ns[o][t].snapshot());
             }
         }
+        let compaction_ns = cell.wal.compaction_ns.snapshot();
         self.wal.merge(&WalMetrics {
             append_bytes: cell.wal.append_bytes.load(Ordering::Relaxed),
             fsync_batch: cell.wal.fsync_batch.snapshot(),
             fsync_ns: cell.wal.fsync_ns.snapshot(),
             flush_signals: cell.wal.flush_signals.load(Ordering::Relaxed),
-            compactions: cell.wal.compactions.load(Ordering::Relaxed),
+            compactions: compaction_ns.count(),
+            compaction_ns,
+            snapshot_bytes: cell.wal.snapshot_bytes.load(Ordering::Relaxed),
             degraded_transitions: cell.wal.degraded_transitions.load(Ordering::Relaxed),
         });
         self.slow_dropped += cell.slow_dropped();

@@ -393,11 +393,13 @@ fn encode_snapshot(snap: &TelemetrySnapshot) -> Vec<u8> {
         snap.wal.flush_signals,
         snap.wal.compactions,
         snap.wal.degraded_transitions,
+        snap.wal.snapshot_bytes,
     ] {
         out.extend_from_slice(&v.to_le_bytes());
     }
     put_hist(&mut out, &snap.wal.fsync_batch);
     put_hist(&mut out, &snap.wal.fsync_ns);
+    put_hist(&mut out, &snap.wal.compaction_ns);
     out.extend_from_slice(&(snap.plans.len() as u32).to_le_bytes());
     for plan in &snap.plans {
         out.extend_from_slice(&plan.plan.to_le_bytes());
@@ -441,8 +443,10 @@ fn decode_snapshot(c: &mut Cursor<'_>) -> Result<TelemetrySnapshot, String> {
         flush_signals: c.u64()?,
         compactions: c.u64()?,
         degraded_transitions: c.u64()?,
+        snapshot_bytes: c.u64()?,
         fsync_batch: read_hist(c)?,
         fsync_ns: read_hist(c)?,
+        compaction_ns: read_hist(c)?,
     };
     let plan_count = c.u32()?;
     snap.plans = (0..plan_count)
@@ -1197,6 +1201,32 @@ mod tests {
         assert!(c.done().is_err());
         let mut c = Cursor::new(&[0x2a, 0, 0, 0]);
         assert_eq!(c.u32().unwrap(), 42);
+        c.done().unwrap();
+    }
+
+    #[test]
+    fn metrics_snapshot_roundtrips_every_wal_field() {
+        // Distinct values per field, so a swapped or dropped field shows.
+        let hist = |v: u64| {
+            let h = crate::telemetry::Histogram::new();
+            h.record(v);
+            h.record(3 * v);
+            h.snapshot()
+        };
+        let mut snap = TelemetrySnapshot::empty(true, 2);
+        snap.wal = WalMetrics {
+            append_bytes: 11,
+            fsync_batch: hist(5),
+            fsync_ns: hist(700),
+            flush_signals: 13,
+            compactions: 2,
+            compaction_ns: hist(9_000_000),
+            snapshot_bytes: 460_000,
+            degraded_transitions: 1,
+        };
+        let bytes = encode_snapshot(&snap);
+        let mut c = Cursor::new(&bytes);
+        assert_eq!(decode_snapshot(&mut c).unwrap(), snap);
         c.done().unwrap();
     }
 

@@ -12,7 +12,7 @@ mod common;
 use std::sync::Arc;
 
 use aigs_core::{SessionStep, MAX_EXACT_NODES};
-use aigs_data::wal::{SessionWal, WalEvent};
+use aigs_data::wal::{read_wal, SessionWal, WalEvent};
 use aigs_graph::NodeId;
 use aigs_service::{
     DurabilityConfig, EngineConfig, FsyncPolicy, PlanSpec, PolicyKind, SearchEngine, ServiceError,
@@ -405,4 +405,146 @@ fn recovery_error_paths_are_typed() {
     assert!(matches!(err, ServiceError::Durability(_)), "{err:?}");
     assert_eq!(std::fs::read(flat.join("wal.log")).unwrap(), before);
     assert!(!flat.join("shard-0").exists());
+}
+
+/// Copies every shard directory of `from` into `to`, rewriting each log as
+/// a format-`version` writer would have: the header carries `version`, and
+/// each `SessionSnapshot` becomes the `SessionOpened` + `Answered…` run
+/// version-2 snapshots held. Returns how many snapshots it expanded.
+fn rewrite_logs(from: &std::path::Path, to: &std::path::Path, version: u16) -> usize {
+    let mut expanded = 0;
+    for shard in std::fs::read_dir(from).unwrap() {
+        let shard = shard.unwrap().path();
+        let out_dir = to.join(shard.file_name().unwrap());
+        std::fs::create_dir_all(&out_dir).unwrap();
+        for file in std::fs::read_dir(&shard).unwrap() {
+            let file = file.unwrap().path();
+            let read = read_wal(&file).unwrap();
+            assert!(read.corruption.is_none(), "{file:?}: {:?}", read.corruption);
+            let out = out_dir.join(file.file_name().unwrap());
+            let mut wal = SessionWal::create(out, FsyncPolicy::Never).unwrap();
+            for event in read.events {
+                match event {
+                    WalEvent::EngineMeta { engine_id, .. } => {
+                        wal.append(&WalEvent::EngineMeta { version, engine_id })
+                    }
+                    WalEvent::SessionSnapshot {
+                        index,
+                        generation,
+                        plan,
+                        kind,
+                        answers,
+                    } => {
+                        expanded += 1;
+                        wal.append(&WalEvent::SessionOpened {
+                            index,
+                            generation,
+                            plan,
+                            kind,
+                        })
+                        .unwrap();
+                        for (seq, yes) in answers.into_iter().enumerate() {
+                            wal.append(&WalEvent::Answered {
+                                index,
+                                generation,
+                                seq: seq as u32,
+                                yes,
+                            })
+                            .unwrap();
+                        }
+                        Ok(0)
+                    }
+                    other => wal.append(&other),
+                }
+                .unwrap();
+            }
+            wal.sync().unwrap();
+        }
+    }
+    expanded
+}
+
+/// A shard directory written in format version 2 — a snapshot of
+/// `SessionOpened` + `Answered` runs plus a tail — recovers under the
+/// current build and continues bit-identically; a version this build does
+/// not know fails typed.
+#[test]
+fn format_v2_logs_recover_and_continue_bit_identically() {
+    let dir = scratch_dir("recover-v2-source");
+    let spec = plan_spec();
+    let dag = spec.dag.clone();
+    let kinds = roster();
+
+    let engine = SearchEngine::try_new(EngineConfig {
+        durability: Some(
+            DurabilityConfig::new(&dir)
+                .with_fsync(FsyncPolicy::Never)
+                .with_snapshot_every(None),
+        ),
+        ..EngineConfig::default()
+    })
+    .unwrap();
+    let plan = engine.register_plan(spec.clone()).unwrap();
+    type LiveRow = (SessionId, PolicyKind, NodeId, Vec<(NodeId, bool)>);
+    let mut live: Vec<LiveRow> = Vec::new();
+    let step = |id: SessionId, target: NodeId, prefix: &mut Vec<(NodeId, bool)>| {
+        if let SessionStep::Ask(q) = engine.next_question(id).unwrap() {
+            let yes = dag.reaches(q, target);
+            prefix.push((q, yes));
+            engine.answer(id, yes).unwrap();
+        }
+    };
+    for (i, &kind) in kinds.iter().enumerate() {
+        let target = NodeId::new((i * 5 + 2) % N);
+        let id = engine.open_session(plan, kind).unwrap().id();
+        let mut prefix = Vec::new();
+        for _ in 0..i % 3 {
+            step(id, target, &mut prefix);
+        }
+        live.push((id, kind, target, prefix));
+    }
+    // Snapshot the sessions, then go on in the tail: one more answer each,
+    // and a session opened after the compaction.
+    engine.compact().unwrap();
+    for (id, _, target, prefix) in &mut live {
+        step(*id, *target, prefix);
+    }
+    let late_target = NodeId::new(6);
+    let late = engine.open_session(plan, PolicyKind::TopDown).unwrap().id();
+    let mut late_prefix = Vec::new();
+    step(late, late_target, &mut late_prefix);
+    live.push((late, PolicyKind::TopDown, late_target, late_prefix));
+    drop(engine); // crash
+
+    let v2 = scratch_dir("recover-v2");
+    assert_eq!(rewrite_logs(&dir, &v2, 2), kinds.len());
+    let (rec, report) = SearchEngine::recover(&v2).unwrap();
+    assert_eq!(report.sessions, live.len());
+    assert_eq!(report.sessions_failed, 0);
+    assert!(report.anomalies.is_empty(), "{:?}", report.anomalies);
+
+    let control = SearchEngine::default();
+    let cplan = control.register_plan(spec).unwrap();
+    for (id, kind, target, prefix) in live {
+        let (got_t, got_out) = drive_to_end(&rec, id, &dag, target);
+        let cid = open_and_replay(&control, cplan, kind, &prefix);
+        let (want_t, want_out) = drive_to_end(&control, cid, &dag, target);
+        assert_eq!(got_t, want_t, "{kind:?}: continuation diverged");
+        assert_eq!(
+            got_out.price.to_bits(),
+            want_out.price.to_bits(),
+            "{kind:?}: price bits diverged"
+        );
+    }
+
+    let v4 = scratch_dir("recover-v4");
+    rewrite_logs(&dir, &v4, 4);
+    let err = SearchEngine::recover(&v4).unwrap_err();
+    assert!(
+        matches!(&err, ServiceError::Durability(m) if m.contains("format v4")),
+        "{err:?}"
+    );
+    for d in [dir, v2, v4] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }

@@ -403,6 +403,27 @@ fn wal_metrics_populate_under_durability() {
     // Each fsync batch drains at least one record; batch totals cannot
     // exceed appended records.
     assert!(snap.wal.fsync_batch.sum <= stats.wal_records);
+    // Compaction cost is visible: one timed sample and the snapshot's
+    // bytes per shard compacted.
+    assert_eq!(snap.wal.compactions, 0);
+    engine.compact().unwrap();
+    let wal = engine.telemetry().wal;
+    assert_eq!(wal.compactions, 2);
+    assert_eq!(wal.compaction_ns.count(), 2);
+    assert!(wal.compaction_ns.sum > 0);
+    assert!(wal.snapshot_bytes > 0);
+    let text = engine.prometheus_text();
+    assert!(
+        text.contains("aigs_wal_compaction_duration_ns_count{} 2"),
+        "{text}"
+    );
+    assert!(
+        text.contains(&format!(
+            "aigs_wal_snapshot_bytes_total {}",
+            wal.snapshot_bytes
+        )),
+        "{text}"
+    );
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
 }
