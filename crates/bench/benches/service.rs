@@ -65,6 +65,10 @@
 //!   reports p50/p90/p99/p99.9 single-step latency at full concurrency,
 //!   and a multi-threaded sweep reports aggregate steps/sec.
 //!
+//! Every step loop answers from a table of each target's truthful answers,
+//! precomputed before any timing ([`answer_table`]), so a row times the
+//! engine and not the harness's own reachability check.
+//!
 //! Set `AIGS_BENCH_SMOKE=1` to cap concurrency at 512 live sessions for
 //! CI, and `CRITERION_JSON=<path>` to dump measurements (the committed
 //! baseline is `BENCH_service.json`).
@@ -201,26 +205,81 @@ fn target(dag: &Dag, i: usize) -> NodeId {
     NodeId::new((i.wrapping_mul(2654435761)) % dag.node_count())
 }
 
-/// One engine step for the session at `cursor`: answer its pending
-/// question truthfully, or retire it and admit a replacement.
-fn step_one(
-    engine: &SearchEngine,
+/// One live session in a step loop: its id, its target, and how many of
+/// the target's answers it has been given.
+type Live = (SessionId, NodeId, usize);
+
+/// A step loop's fixed inputs: the plan and kind it opens, and every
+/// target's truthful answers in question order.
+struct Workload<'a> {
     plan: PlanId,
     kind: PolicyKind,
-    dag: &Dag,
-    sessions: &mut [(SessionId, NodeId)],
+    dag: &'a Dag,
+    answers: &'a [Vec<bool>],
+}
+
+impl<'a> Workload<'a> {
+    fn new(s: &'a Scenario, plan: PlanId, answers: &'a [Vec<bool>]) -> Workload<'a> {
+        Workload {
+            plan,
+            kind: s.kind,
+            dag: &s.dag,
+            answers,
+        }
+    }
+
+    /// Opens one session per target index in `targets`.
+    fn open(&self, engine: &SearchEngine, targets: std::ops::Range<usize>) -> Vec<Live> {
+        targets
+            .map(|i| {
+                let id = engine.open_session(self.plan, self.kind).unwrap().id();
+                (id, target(self.dag, i), 0)
+            })
+            .collect()
+    }
+}
+
+/// Every target's truthful answers, in the order `s.kind` asks them,
+/// recorded on a scratch engine. Policies are deterministic, so any engine
+/// serving the same plan asks the same questions.
+fn answer_table(s: &Scenario) -> Vec<Vec<bool>> {
+    let (engine, plan) = engine_for(s, 8);
+    s.dag
+        .nodes()
+        .map(|z| {
+            let id = engine.open_session(plan, s.kind).unwrap().id();
+            let mut said = Vec::new();
+            while let SessionStep::Ask(q) = engine.next_question(id).unwrap() {
+                said.push(s.dag.reaches(q, z));
+                engine.answer(id, *said.last().unwrap()).unwrap();
+            }
+            engine.finish(id).unwrap();
+            said
+        })
+        .collect()
+}
+
+/// One engine step for the session at `cursor`: answer its pending
+/// question from the table, or retire it and admit a replacement.
+fn step_one(
+    engine: &SearchEngine,
+    w: &Workload<'_>,
+    sessions: &mut [Live],
     cursor: usize,
     fresh: &mut usize,
 ) {
-    let (id, z) = sessions[cursor];
+    let (id, z, k) = sessions[cursor];
     match engine.next_question(id).unwrap() {
-        SessionStep::Ask(q) => engine.answer(id, dag.reaches(q, z)).unwrap(),
+        SessionStep::Ask(_) => {
+            engine.answer(id, w.answers[z.index()][k]).unwrap();
+            sessions[cursor].2 += 1;
+        }
         SessionStep::Resolved(got) => {
             assert_eq!(got, z, "session resolved to a foreign target");
             engine.finish(id).unwrap();
-            let nz = target(dag, *fresh);
+            let nz = target(w.dag, *fresh);
             *fresh += 1;
-            sessions[cursor] = (engine.open_session(plan, kind).unwrap().id(), nz);
+            sessions[cursor] = (engine.open_session(w.plan, w.kind).unwrap().id(), nz, 0);
         }
     }
 }
@@ -233,15 +292,13 @@ fn step_one(
 /// isolates the durability overhead.
 fn warm_population(
     engine: &SearchEngine,
-    plan: PlanId,
-    kind: PolicyKind,
-    dag: &Dag,
-    sessions: &mut [(SessionId, NodeId)],
+    w: &Workload<'_>,
+    sessions: &mut [Live],
     fresh: &mut usize,
 ) {
     for _ in 0..8 {
         for cursor in 0..sessions.len() {
-            step_one(engine, plan, kind, dag, sessions, cursor, fresh);
+            step_one(engine, w, sessions, cursor, fresh);
         }
     }
 }
@@ -253,32 +310,21 @@ fn bench_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_step");
     group.sample_size(20);
     for s in scenarios() {
+        let answers = answer_table(&s);
         let (engine, plan) = engine_for(&s, live + 8);
-        let mut sessions: Vec<(SessionId, NodeId)> = (0..live)
-            .map(|i| {
-                let z = target(&s.dag, i);
-                (engine.open_session(plan, s.kind).unwrap().id(), z)
-            })
-            .collect();
+        let w = Workload::new(&s, plan, &answers);
+        let mut sessions = w.open(&engine, 0..live);
         assert_eq!(engine.live_sessions(), live);
         let mut cursor = 0;
         let mut fresh = live;
-        warm_population(&engine, plan, s.kind, &s.dag, &mut sessions, &mut fresh);
+        warm_population(&engine, &w, &mut sessions, &mut fresh);
         group.bench_function(BenchmarkId::new(&s.label, live), |b| {
             b.iter(|| {
-                step_one(
-                    &engine,
-                    plan,
-                    s.kind,
-                    &s.dag,
-                    &mut sessions,
-                    cursor,
-                    &mut fresh,
-                );
+                step_one(&engine, &w, &mut sessions, cursor, &mut fresh);
                 cursor = (cursor + 1) % live;
             })
         });
-        for (id, _) in sessions {
+        for (id, ..) in sessions {
             let _ = engine.cancel(id);
         }
     }
@@ -290,19 +336,21 @@ fn bench_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_churn");
     group.sample_size(20);
     for s in scenarios() {
+        let answers = answer_table(&s);
         let (engine, plan) = engine_for(&s, 64);
         let mut i = 0usize;
         group.bench_function(s.label.as_str(), |b| {
             b.iter(|| {
-                let z = target(&s.dag, i);
+                let said = &answers[target(&s.dag, i).index()];
                 i += 1;
                 let mut session = engine.open_session(plan, s.kind).unwrap();
-                loop {
-                    match session.next_question().unwrap() {
-                        SessionStep::Resolved(_) => break session.finish().unwrap(),
-                        SessionStep::Ask(q) => session.answer(s.dag.reaches(q, z)).unwrap(),
-                    }
+                for &yes in said {
+                    session.next_question().unwrap();
+                    session.answer(yes).unwrap();
                 }
+                let done = session.next_question().unwrap();
+                assert!(matches!(done, SessionStep::Resolved(_)), "{done:?}");
+                session.finish().unwrap()
             })
         });
     }
@@ -340,28 +388,17 @@ fn bench_step_wal(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_step_wal");
     group.sample_size(20);
     for s in wal_scenarios() {
+        let answers = answer_table(&s);
         let dir = wal_dir(&s.label);
         let (engine, plan) = durable_engine_for(&s, live + 8, &dir);
-        let mut sessions: Vec<(SessionId, NodeId)> = (0..live)
-            .map(|i| {
-                let z = target(&s.dag, i);
-                (engine.open_session(plan, s.kind).unwrap().id(), z)
-            })
-            .collect();
+        let w = Workload::new(&s, plan, &answers);
+        let mut sessions = w.open(&engine, 0..live);
         let mut cursor = 0;
         let mut fresh = live;
-        warm_population(&engine, plan, s.kind, &s.dag, &mut sessions, &mut fresh);
+        warm_population(&engine, &w, &mut sessions, &mut fresh);
         group.bench_function(BenchmarkId::new(&s.label, live), |b| {
             b.iter(|| {
-                step_one(
-                    &engine,
-                    plan,
-                    s.kind,
-                    &s.dag,
-                    &mut sessions,
-                    cursor,
-                    &mut fresh,
-                );
+                step_one(&engine, &w, &mut sessions, cursor, &mut fresh);
                 cursor = (cursor + 1) % live;
             })
         });
@@ -381,28 +418,17 @@ fn bench_recovery(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_recovery");
     group.sample_size(10);
     for s in recovery_scenarios() {
+        let answers = answer_table(&s);
         let dir = wal_dir(&format!("recover-{}", s.label));
         let (engine, plan) = durable_engine_for(&s, live + 8, &dir);
-        let mut sessions: Vec<(SessionId, NodeId)> = (0..live)
-            .map(|i| {
-                let z = target(&s.dag, i);
-                (engine.open_session(plan, s.kind).unwrap().id(), z)
-            })
-            .collect();
+        let w = Workload::new(&s, plan, &answers);
+        let mut sessions = w.open(&engine, 0..live);
         // Three round-robin passes leave every session mid-flight with a
         // short transcript, like a service killed under load.
         let mut fresh = live;
         for _ in 0..3 {
             for cursor in 0..live {
-                step_one(
-                    &engine,
-                    plan,
-                    s.kind,
-                    &s.dag,
-                    &mut sessions,
-                    cursor,
-                    &mut fresh,
-                );
+                step_one(&engine, &w, &mut sessions, cursor, &mut fresh);
             }
         }
         assert!(!engine.stats().degraded, "WAL failed during setup");
@@ -433,27 +459,15 @@ fn report_tail_and_parallel(c: &mut Criterion) {
         .into_iter()
         .find(|s| s.label == "greedy-dag-closure")
         .expect("scenario exists");
+    let answers = answer_table(&s);
     let (engine, plan) = engine_for(&s, live + 8);
-    let mut sessions: Vec<(SessionId, NodeId)> = (0..live)
-        .map(|i| {
-            let z = target(&s.dag, i);
-            (engine.open_session(plan, s.kind).unwrap().id(), z)
-        })
-        .collect();
+    let w = Workload::new(&s, plan, &answers);
+    let mut sessions = w.open(&engine, 0..live);
     let mut fresh = live;
     let mut lat = Vec::with_capacity(steps);
     for k in 0..steps {
-        let cursor = k % live;
         let t0 = Instant::now();
-        step_one(
-            &engine,
-            plan,
-            s.kind,
-            &s.dag,
-            &mut sessions,
-            cursor,
-            &mut fresh,
-        );
+        step_one(&engine, &w, &mut sessions, k % live, &mut fresh);
         lat.push(t0.elapsed().as_nanos() as u64);
     }
     lat.sort_unstable();
@@ -467,45 +481,29 @@ fn report_tail_and_parallel(c: &mut Criterion) {
         lat[lat.len() - 1],
         steps
     );
-    for (id, _) in sessions {
+    for (id, ..) in sessions {
         let _ = engine.cancel(id);
     }
 
     // Aggregate multi-threaded throughput: shard the same live-session
     // population over worker threads, each stepping its shard round-robin.
     let threads = std::thread::available_parallelism().map_or(4, |p| p.get().min(8));
-    let s = scenarios()
-        .into_iter()
-        .find(|s| s.label == "greedy-dag-closure")
-        .expect("scenario exists");
     let (engine, plan) = engine_for(&s, live + threads * 8);
+    let w = Workload::new(&s, plan, &answers);
     let shard = live / threads;
     let per_thread_steps = steps / threads;
     let t0 = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..threads {
             let engine = &engine;
-            let s = &s;
+            let w = &w;
             scope.spawn(move || {
-                let mut sessions: Vec<(SessionId, NodeId)> = (0..shard)
-                    .map(|i| {
-                        let z = target(&s.dag, t * shard + i);
-                        (engine.open_session(plan, s.kind).unwrap().id(), z)
-                    })
-                    .collect();
+                let mut sessions = w.open(engine, t * shard..(t + 1) * shard);
                 let mut fresh = (t + 1) * 1_000_000;
                 for k in 0..per_thread_steps {
-                    step_one(
-                        engine,
-                        plan,
-                        s.kind,
-                        &s.dag,
-                        &mut sessions,
-                        k % shard,
-                        &mut fresh,
-                    );
+                    step_one(engine, w, &mut sessions, k % shard, &mut fresh);
                 }
-                for (id, _) in sessions {
+                for (id, ..) in sessions {
                     let _ = engine.cancel(id);
                 }
             });
@@ -532,6 +530,7 @@ fn bench_shard_sweep(c: &mut Criterion) {
         .into_iter()
         .find(|s| s.label == "greedy-dag-closure")
         .expect("scenario exists");
+    let answers = answer_table(&s);
     let live = live_sessions();
     let mut group = c.benchmark_group("service_shard_sweep");
     group.sample_size(10);
@@ -545,23 +544,17 @@ fn bench_shard_sweep(c: &mut Criterion) {
             .register_plan(PlanSpec::new(s.dag.clone(), s.weights.clone()).with_reach(s.reach))
             .unwrap();
         assert_eq!(engine.stats().shards, shards);
+        let w = Workload::new(&s, plan, &answers);
         let per_thread = live / shards;
         // Each worker owns a disjoint slice of the live population; the
         // population is pre-advanced to steady state exactly like
         // `bench_step`.
-        let mut populations: Vec<Vec<(SessionId, NodeId)>> = (0..shards)
-            .map(|t| {
-                (0..per_thread)
-                    .map(|i| {
-                        let z = target(&s.dag, t * per_thread + i);
-                        (engine.open_session(plan, s.kind).unwrap().id(), z)
-                    })
-                    .collect()
-            })
+        let mut populations: Vec<Vec<Live>> = (0..shards)
+            .map(|t| w.open(&engine, t * per_thread..(t + 1) * per_thread))
             .collect();
         for (t, sessions) in populations.iter_mut().enumerate() {
             let mut fresh = (t + 1) * 1_000_000;
-            warm_population(&engine, plan, s.kind, &s.dag, sessions, &mut fresh);
+            warm_population(&engine, &w, sessions, &mut fresh);
         }
         let steps_per_thread = BATCH / shards;
         let mut round = 0usize;
@@ -571,20 +564,13 @@ fn bench_shard_sweep(c: &mut Criterion) {
                 std::thread::scope(|scope| {
                     for (t, sessions) in populations.iter_mut().enumerate() {
                         let engine = &engine;
-                        let s = &s;
+                        let w = &w;
                         scope.spawn(move || {
                             let mut fresh = (t + 1) * 1_000_000 + round * 100_000;
                             let len = sessions.len();
                             for k in 0..steps_per_thread {
-                                step_one(
-                                    engine,
-                                    plan,
-                                    s.kind,
-                                    &s.dag,
-                                    sessions,
-                                    (round * steps_per_thread + k) % len,
-                                    &mut fresh,
-                                );
+                                let cursor = (round * steps_per_thread + k) % len;
+                                step_one(engine, w, sessions, cursor, &mut fresh);
                             }
                         });
                     }
@@ -658,38 +644,16 @@ fn bench_compiled(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_compiled_step");
     group.sample_size(20);
     for s in &roster {
-        let engine = SearchEngine::new(EngineConfig {
-            max_sessions: live + 8,
-            compiled: CompiledTier::PerPlan,
-            ..EngineConfig::default()
-        });
-        let plan = engine
-            .register_plan(
-                PlanSpec::new(s.dag.clone(), s.weights.clone())
-                    .with_reach(s.reach)
-                    .with_compiled(CompiledConfig::new()),
-            )
-            .unwrap();
-        let mut sessions: Vec<(SessionId, NodeId)> = (0..live)
-            .map(|i| {
-                let z = target(&s.dag, i);
-                (engine.open_session(plan, s.kind).unwrap().id(), z)
-            })
-            .collect();
+        let answers = answer_table(s);
+        let (engine, plan) = compiled_engine_for(s, live, true);
+        let w = Workload::new(s, plan, &answers);
+        let mut sessions = w.open(&engine, 0..live);
         let mut cursor = 0;
         let mut fresh = live;
-        warm_population(&engine, plan, s.kind, &s.dag, &mut sessions, &mut fresh);
+        warm_population(&engine, &w, &mut sessions, &mut fresh);
         group.bench_function(BenchmarkId::new(&s.label, live), |b| {
             b.iter(|| {
-                step_one(
-                    &engine,
-                    plan,
-                    s.kind,
-                    &s.dag,
-                    &mut sessions,
-                    cursor,
-                    &mut fresh,
-                );
+                step_one(&engine, &w, &mut sessions, cursor, &mut fresh);
                 cursor = (cursor + 1) % live;
             })
         });
@@ -702,16 +666,15 @@ fn bench_compiled(c: &mut Criterion) {
             stats.compiled_fallbacks, 0,
             "untruncated trees must never fall back"
         );
-        for (id, _) in sessions {
+        for (id, ..) in sessions {
             let _ = engine.cancel(id);
         }
     }
     group.finish();
 
     // The tier's intrinsic step latency: bare cursors, no engine. The
-    // truthful oracle answers from the O(1) closure bitset — `step_one`'s
-    // `dag.reaches` DFS (~500 ns with its allocation) would otherwise be
-    // the whole measurement at this scale.
+    // truthful oracle answers from the O(1) closure bitset, so no DFS
+    // lands in the timed loop.
     let mut group = c.benchmark_group("service_compiled_cursor");
     group.sample_size(20);
     for s in &roster {
@@ -790,14 +753,11 @@ fn bench_million_live(c: &mut Criterion) {
         .into_iter()
         .find(|s| s.label == "top-down-closure")
         .expect("scenario exists");
+    let answers = answer_table(&s);
     let (engine, plan) = engine_for(&s, live + 8);
+    let w = Workload::new(&s, plan, &answers);
     let t0 = Instant::now();
-    let mut sessions: Vec<(SessionId, NodeId)> = (0..live)
-        .map(|i| {
-            let z = target(&s.dag, i);
-            (engine.open_session(plan, s.kind).unwrap().id(), z)
-        })
-        .collect();
+    let mut sessions = w.open(&engine, 0..live);
     let open_secs = t0.elapsed().as_secs_f64();
     assert_eq!(engine.live_sessions(), live);
     println!(
@@ -812,15 +772,7 @@ fn bench_million_live(c: &mut Criterion) {
     let mut fresh = live;
     group.bench_function(BenchmarkId::new(&s.label, live), |b| {
         b.iter(|| {
-            step_one(
-                &engine,
-                plan,
-                s.kind,
-                &s.dag,
-                &mut sessions,
-                cursor,
-                &mut fresh,
-            );
+            step_one(&engine, &w, &mut sessions, cursor, &mut fresh);
             cursor = (cursor + 1) % live;
         })
     });
@@ -845,6 +797,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         .into_iter()
         .find(|s| s.label == "greedy-dag-closure")
         .expect("greedy-dag-closure scenario");
+    let answers = answer_table(&s);
     for (label, enabled) in [("step-on", true), ("step-off", false)] {
         let engine = SearchEngine::new(EngineConfig {
             max_sessions: live + 8,
@@ -854,26 +807,14 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         let plan = engine
             .register_plan(PlanSpec::new(s.dag.clone(), s.weights.clone()).with_reach(s.reach))
             .unwrap();
-        let mut sessions: Vec<(SessionId, NodeId)> = (0..live)
-            .map(|i| {
-                let z = target(&s.dag, i);
-                (engine.open_session(plan, s.kind).unwrap().id(), z)
-            })
-            .collect();
+        let w = Workload::new(&s, plan, &answers);
+        let mut sessions = w.open(&engine, 0..live);
         let mut cursor = 0;
         let mut fresh = live;
-        warm_population(&engine, plan, s.kind, &s.dag, &mut sessions, &mut fresh);
+        warm_population(&engine, &w, &mut sessions, &mut fresh);
         group.bench_function(BenchmarkId::new(label, live), |b| {
             b.iter(|| {
-                step_one(
-                    &engine,
-                    plan,
-                    s.kind,
-                    &s.dag,
-                    &mut sessions,
-                    cursor,
-                    &mut fresh,
-                );
+                step_one(&engine, &w, &mut sessions, cursor, &mut fresh);
                 cursor = (cursor + 1) % live;
             })
         });
@@ -887,7 +828,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
                 "telemetry-on row recorded nothing"
             );
         }
-        for (id, _) in sessions {
+        for (id, ..) in sessions {
             let _ = engine.cancel(id);
         }
     }
@@ -900,7 +841,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     // consecutive rows) hits both rows alike.
     let mut rigs: Vec<CompiledRig> = [true, false]
         .into_iter()
-        .map(|enabled| CompiledRig::new(&s, live, enabled))
+        .map(|enabled| CompiledRig::new(&s, &answers, live, enabled))
         .collect();
     let (rounds, batch) = (100, 4096);
     let mut samples = [Vec::with_capacity(rounds), Vec::with_capacity(rounds)];
@@ -931,96 +872,66 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     }
 }
 
-/// A compiled-tier engine with `live` sessions on greedy-dag-closure's
-/// plan and every target's truthful answers precomputed, so a [`step`]
-/// does no oracle work: the step is the engine's alone.
-///
-/// [`step`]: CompiledRig::step
-struct CompiledRig {
+/// A compiled-tier engine serving `s`'s plan from an untruncated tree,
+/// with telemetry on or off.
+fn compiled_engine_for(s: &Scenario, live: usize, telemetry: bool) -> (SearchEngine, PlanId) {
+    let engine = SearchEngine::new(EngineConfig {
+        max_sessions: live + 8,
+        compiled: CompiledTier::PerPlan,
+        telemetry: Some(telemetry),
+        ..EngineConfig::default()
+    });
+    let plan = engine
+        .register_plan(
+            PlanSpec::new(s.dag.clone(), s.weights.clone())
+                .with_reach(s.reach)
+                .with_compiled(CompiledConfig::new()),
+        )
+        .unwrap();
+    (engine, plan)
+}
+
+/// A compiled-tier engine with `live` sessions on `s`'s plan, stepped
+/// round-robin by [`step_one`] and sampled in batches by the telemetry
+/// on/off pair.
+struct CompiledRig<'a> {
     engine: SearchEngine,
-    plan: PlanId,
-    kind: PolicyKind,
-    dag: Arc<Dag>,
-    /// Truthful answers per target node, in question order.
-    answers: Vec<Vec<bool>>,
-    /// `(session, target, answers given)` per live session.
-    sessions: Vec<(SessionId, NodeId, usize)>,
+    workload: Workload<'a>,
+    sessions: Vec<Live>,
     cursor: usize,
     fresh: usize,
 }
 
-impl CompiledRig {
-    fn new(s: &Scenario, live: usize, telemetry: bool) -> CompiledRig {
-        let engine = SearchEngine::new(EngineConfig {
-            max_sessions: live + 8,
-            compiled: CompiledTier::PerPlan,
-            telemetry: Some(telemetry),
-            ..EngineConfig::default()
-        });
-        let plan = engine
-            .register_plan(
-                PlanSpec::new(s.dag.clone(), s.weights.clone())
-                    .with_reach(s.reach)
-                    .with_compiled(CompiledConfig::new()),
-            )
-            .unwrap();
-        let reach = ReachIndex::closure_for(&s.dag);
-        let oracle = reach.as_closure().expect("closure backend");
-        let answers = s
-            .dag
-            .nodes()
-            .map(|z| {
-                let id = engine.open_session(plan, s.kind).unwrap().id();
-                let mut said = Vec::new();
-                while let SessionStep::Ask(q) = engine.next_question(id).unwrap() {
-                    said.push(oracle.reaches(q, z));
-                    engine.answer(id, *said.last().unwrap()).unwrap();
-                }
-                engine.finish(id).unwrap();
-                said
-            })
-            .collect();
-        let sessions = (0..live)
-            .map(|i| {
-                let z = target(&s.dag, i);
-                (engine.open_session(plan, s.kind).unwrap().id(), z, 0)
-            })
-            .collect();
-        let mut rig = CompiledRig {
+impl<'a> CompiledRig<'a> {
+    fn new(
+        s: &'a Scenario,
+        answers: &'a [Vec<bool>],
+        live: usize,
+        telemetry: bool,
+    ) -> CompiledRig<'a> {
+        let (engine, plan) = compiled_engine_for(s, live, telemetry);
+        let workload = Workload::new(s, plan, answers);
+        let mut sessions = workload.open(&engine, 0..live);
+        let mut fresh = live;
+        warm_population(&engine, &workload, &mut sessions, &mut fresh);
+        CompiledRig {
             engine,
-            plan,
-            kind: s.kind,
-            dag: s.dag.clone(),
-            answers,
+            workload,
             sessions,
             cursor: 0,
-            fresh: live,
-        };
-        // The same eight-pass pre-advance as `warm_population`.
-        for _ in 0..8 * live {
-            rig.step();
+            fresh,
         }
-        rig
     }
 
-    /// One engine step for the next session round-robin: answer its
-    /// pending question, or retire it and admit a replacement.
+    /// One engine step for the next session round-robin.
     fn step(&mut self) {
-        let (id, z, k) = self.sessions[self.cursor];
-        match self.engine.next_question(id).unwrap() {
-            SessionStep::Ask(_) => {
-                self.engine.answer(id, self.answers[z.index()][k]).unwrap();
-                self.sessions[self.cursor].2 += 1;
-            }
-            SessionStep::Resolved(got) => {
-                assert_eq!(got, z, "session resolved to a foreign target");
-                self.engine.finish(id).unwrap();
-                let nz = target(&self.dag, self.fresh);
-                self.fresh += 1;
-                let fresh_id = self.engine.open_session(self.plan, self.kind).unwrap().id();
-                self.sessions[self.cursor] = (fresh_id, nz, 0);
-            }
-        }
+        step_one(
+            &self.engine,
+            &self.workload,
+            &mut self.sessions,
+            self.cursor,
+            &mut self.fresh,
+        );
         self.cursor = (self.cursor + 1) % self.sessions.len();
     }
 }

@@ -32,13 +32,9 @@
 //! fabricates events (property-tested against truncation and bit flips at
 //! every byte offset).
 //!
-//! ## Fsync batching
-//!
-//! [`FsyncPolicy`] trades durability lag for throughput: `Always` syncs
-//! every record, `EveryN(n)` syncs once per `n` appends (so at most the
-//! last `n − 1` acknowledged records can be lost to power failure — a
-//! process crash alone loses nothing the OS already accepted), `Never`
-//! leaves syncing to the OS.
+//! The writer never fsyncs on its own: an append hands the record to the
+//! OS, and [`SessionWal::sync`] forces it to stable storage. When to sync
+//! is the caller's policy.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -278,37 +274,16 @@ pub struct WalRead {
     pub corruption: Option<WalCorruption>,
 }
 
-/// When the writer calls `fsync`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// Sync after every record: an acknowledged record survives power loss.
-    Always,
-    /// Sync once per `n` appends: at most the last `n − 1` acknowledged
-    /// records are exposed to power loss (never to a mere process crash).
-    EveryN(u32),
-    /// Never sync explicitly; the OS flushes on its own schedule.
-    Never,
-}
-
-impl Default for FsyncPolicy {
-    /// The measured sweet spot for the 10k-live-session serving bench.
-    fn default() -> Self {
-        FsyncPolicy::EveryN(256)
-    }
-}
-
 /// An append-only WAL writer.
 ///
 /// Each append encodes the record into a buffer and hands it to the OS in
-/// one `write_all`, applying the [`FsyncPolicy`]. Fail-point sites
+/// one `write_all`; durability is [`Self::sync`]'s job. Fail-point sites
 /// (`wal.append`, `wal.fsync`) let the chaos suite inject torn writes and
 /// I/O errors into the *real* append path.
 #[derive(Debug)]
 pub struct SessionWal {
     file: File,
     path: PathBuf,
-    fsync: FsyncPolicy,
-    appends_since_sync: u32,
     buf: Vec<u8>,
     /// Records accumulated by [`Self::append_buffered`], not yet handed to
     /// the OS.
@@ -319,8 +294,8 @@ pub struct SessionWal {
 const BATCH_FLUSH_BYTES: usize = 256 * 1024;
 
 impl SessionWal {
-    /// Creates (truncating) a WAL at `path` with the given sync policy.
-    pub fn create(path: impl Into<PathBuf>, fsync: FsyncPolicy) -> io::Result<Self> {
+    /// Creates (truncating) a WAL at `path`.
+    pub fn create(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
         let file = OpenOptions::new()
             .write(true)
@@ -330,8 +305,6 @@ impl SessionWal {
         Ok(SessionWal {
             file,
             path,
-            fsync,
-            appends_since_sync: 0,
             buf: Vec::with_capacity(64),
             batch: Vec::new(),
         })
@@ -342,10 +315,9 @@ impl SessionWal {
         &self.path
     }
 
-    /// Appends one record, honouring the fsync policy, and returns the
-    /// encoded record's byte length. On error the file may hold a torn
-    /// record at its tail; the writer must be considered poisoned
-    /// (readers stop cleanly at the tear).
+    /// Appends one record and returns the encoded record's byte length. On
+    /// error the file may hold a torn record at its tail; the writer must
+    /// be considered poisoned (readers stop cleanly at the tear).
     pub fn append(&mut self, event: &WalEvent) -> io::Result<usize> {
         self.buf.clear();
         encode_record(event, &mut self.buf);
@@ -367,16 +339,6 @@ impl SessionWal {
         }
         self.flush_batch()?; // preserve record order if batched appends mixed in
         self.file.write_all(&self.buf)?;
-        match self.fsync {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::EveryN(n) => {
-                self.appends_since_sync += 1;
-                if self.appends_since_sync >= n.max(1) {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Never => {}
-        }
         Ok(self.buf.len())
     }
 
@@ -433,7 +395,6 @@ impl SessionWal {
             return Err(io::Error::other("injected wal fsync failure"));
         }
         self.flush_batch()?;
-        self.appends_since_sync = 0;
         self.file.sync_data()
     }
 }
@@ -978,10 +939,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.log");
         let events = sample_events();
-        let mut wal = SessionWal::create(&path, FsyncPolicy::Always).unwrap();
+        let mut wal = SessionWal::create(&path).unwrap();
         for e in &events {
             wal.append(e).unwrap();
         }
+        wal.sync().unwrap();
         drop(wal);
         let read = read_wal(&path).unwrap();
         assert_eq!(read.events, events);
@@ -1156,21 +1118,5 @@ mod tests {
         let mut long = payload.to_vec();
         long.push(0);
         assert!(reason(&long).contains("longer"));
-    }
-
-    #[test]
-    fn fsync_batching_counts_appends() {
-        let dir = std::env::temp_dir().join("aigs-wal-fsync");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut wal = SessionWal::create(dir.join("wal.log"), FsyncPolicy::EveryN(4)).unwrap();
-        for e in sample_events() {
-            wal.append(&e).unwrap();
-        }
-        wal.sync().unwrap();
-        drop(wal);
-        let read = read_wal(&dir.join("wal.log")).unwrap();
-        assert_eq!(read.events.len(), sample_events().len());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

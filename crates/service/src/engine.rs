@@ -9,7 +9,7 @@ use aigs_core::{
     CompiledConfig, CompiledCursor, CompiledPlan, CoreError, SearchOutcome, SessionStep,
     SessionStepper,
 };
-use aigs_data::wal::{FsyncPolicy, SessionWal, WalEvent, WAL_VERSION};
+use aigs_data::wal::{SessionWal, WalEvent, WAL_VERSION};
 use aigs_testutil::failpoints::{self, FaultAction};
 
 use crate::durability::{
@@ -48,10 +48,11 @@ pub struct EngineConfig {
     /// How many slab shards the engine runs. Each shard owns its slots,
     /// free list, stats counters, idle list and (with durability on) WAL
     /// tail, so sessions on different shards never contend on a shared
-    /// mutator lock. `0` means auto: the `AIGS_SHARDS` environment
-    /// variable if set, else [`std::thread::available_parallelism`].
-    /// [`SearchEngine::recover`] ignores this and rebuilds with the shard
-    /// count the log directory was written with.
+    /// mutator lock. `0` means [`std::thread::available_parallelism`];
+    /// the engine writes the resolved count back into its
+    /// [`config`](SearchEngine::config). [`SearchEngine::recover`] ignores
+    /// this and rebuilds with the shard count the log directory was
+    /// written with.
     pub shards: usize,
     /// Optional write-ahead durability: with `Some`, every acknowledged
     /// mutating operation is logged before success is returned, and
@@ -60,11 +61,15 @@ pub struct EngineConfig {
     /// Which plans serve from the compiled tier (flat decision-tree arrays
     /// instead of live policy steps). See [`CompiledTier`].
     pub compiled: CompiledTier,
-    /// Whether the [`crate::telemetry`] hooks record. `None` resolves from
-    /// the `AIGS_TELEMETRY` environment variable at construction (on
-    /// unless `0`); the hooks are cheap enough (two relaxed atomic adds
-    /// per histogram record) that on is the default.
+    /// Whether the [`crate::telemetry`] hooks record. `None` means on:
+    /// the hooks are cheap enough (two relaxed atomic adds per histogram
+    /// record) that on is the default.
     pub telemetry: Option<bool>,
+    /// Slow-op journal threshold in nanoseconds: a timed operation at
+    /// least this slow is kept in its shard's [`crate::telemetry::SlowOp`]
+    /// ring. Default [`telemetry::DEFAULT_SLOW_OP_NS`]; `0` journals
+    /// every timed operation.
+    pub slow_op_ns: u64,
 }
 
 impl Default for EngineConfig {
@@ -76,8 +81,9 @@ impl Default for EngineConfig {
             pool_cap: 64,
             shards: 0,
             durability: None,
-            compiled: CompiledTier::Auto,
+            compiled: CompiledTier::PerPlan,
             telemetry: None,
+            slow_op_ns: telemetry::DEFAULT_SLOW_OP_NS,
         }
     }
 }
@@ -92,15 +98,11 @@ impl Default for EngineConfig {
 /// performance/memory trade.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompiledTier {
-    /// Resolve from the `AIGS_COMPILED` environment variable at engine
-    /// construction: `0` → [`Off`](Self::Off), `1` → [`All`](Self::All),
-    /// unset or unparsable → [`PerPlan`](Self::PerPlan).
-    #[default]
-    Auto,
     /// Never compile; every session serves live (plan opt-ins ignored).
     Off,
     /// Compile exactly the plans registered with
     /// [`crate::PlanSpec::with_compiled`]. The production default.
+    #[default]
     PerPlan,
     /// Compile every plan (with its own config, or
     /// [`CompiledConfig::default`] when it has none). Meant for test
@@ -115,33 +117,12 @@ const DEFAULT_COMPILED: CompiledConfig = CompiledConfig {
     max_nodes: None,
 };
 
-/// Resolves [`EngineConfig::shards`]: explicit > `AIGS_SHARDS` > core count.
+/// Resolves [`EngineConfig::shards`]: `0` means the host's parallelism.
 fn resolve_shards(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }
-    if let Ok(v) = std::env::var("AIGS_SHARDS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Resolves [`EngineConfig::compiled`]: explicit > `AIGS_COMPILED` >
-/// per-plan opt-in. Lenient like [`resolve_shards`] — the strict-parsing
-/// test knob lives in `aigs_testutil`.
-fn resolve_compiled(requested: CompiledTier) -> CompiledTier {
-    if requested != CompiledTier::Auto {
-        return requested;
-    }
-    match std::env::var("AIGS_COMPILED").as_deref().map(str::trim) {
-        Ok("0") => CompiledTier::Off,
-        Ok("1") => CompiledTier::All,
-        _ => CompiledTier::PerPlan,
-    }
 }
 
 /// The compiled tree (if any) that `tier` serves `kind` sessions of `plan`
@@ -155,7 +136,7 @@ fn compiled_tree_for(
     match tier {
         CompiledTier::Off => None,
         CompiledTier::All => plan.compiled_for(kind, Some(&DEFAULT_COMPILED)),
-        CompiledTier::Auto | CompiledTier::PerPlan => plan.compiled_for(kind, None),
+        CompiledTier::PerPlan => plan.compiled_for(kind, None),
     }
 }
 
@@ -532,11 +513,9 @@ pub struct SearchEngine {
     /// Engine-wide degraded latch (flag + entered-at clock + triggering
     /// error), shared with every shard's [`WalState`].
     degraded: Arc<DegradedState>,
-    /// Whether telemetry records (resolved once at construction); gates
-    /// the hot paths' `Instant::now()` reads.
+    /// Whether telemetry records (`config.telemetry` resolved once at
+    /// construction); gates the hot paths' `Instant::now()` reads.
     telemetry_enabled: bool,
-    /// Slow-op journal threshold in nanoseconds (`AIGS_SLOW_OP_NS`).
-    slow_threshold_ns: u64,
 }
 
 /// Issues [`SearchEngine::engine_id`] nonces (process-wide, never zero).
@@ -572,8 +551,7 @@ impl SearchEngine {
         let engine_id = NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed);
         let shard_count = resolve_shards(config.shards);
         config.shards = shard_count;
-        config.compiled = resolve_compiled(config.compiled);
-        let telemetry_enabled = telemetry::resolve_enabled(config.telemetry);
+        let telemetry_enabled = config.telemetry != Some(false);
         let clock = Arc::new(AtomicU64::new(0));
         let degraded = DegradedState::new(Arc::clone(&clock));
         let mut shards: Vec<Shard> = (0..shard_count)
@@ -622,7 +600,6 @@ impl SearchEngine {
             placement: AtomicUsize::new(0),
             degraded,
             telemetry_enabled,
-            slow_threshold_ns: telemetry::resolve_slow_threshold(),
         })
     }
 
@@ -667,7 +644,6 @@ impl SearchEngine {
         };
         let shard_count = discover_shards(&durability.dir)?;
         config.shards = shard_count;
-        config.compiled = resolve_compiled(config.compiled);
         let mut report = RecoveryReport {
             shards: shard_count,
             ..RecoveryReport::default()
@@ -742,7 +718,7 @@ impl SearchEngine {
             parts
         });
 
-        let telemetry_enabled = telemetry::resolve_enabled(config.telemetry);
+        let telemetry_enabled = config.telemetry != Some(false);
         let clock = Arc::new(AtomicU64::new(0));
         let degraded = DegradedState::new(Arc::clone(&clock));
         let recover_timer = telemetry_enabled.then(std::time::Instant::now);
@@ -791,7 +767,6 @@ impl SearchEngine {
             placement: AtomicUsize::new(0),
             degraded: Arc::clone(&degraded),
             telemetry_enabled,
-            slow_threshold_ns: telemetry::resolve_slow_threshold(),
         };
 
         // Re-establish durability deterministically, shard by shard:
@@ -1356,7 +1331,7 @@ impl SearchEngine {
 
     /// Drains every shard's slow-op journal: timed operations (a sample,
     /// see [`crate::telemetry`]) whose wall time crossed the
-    /// `AIGS_SLOW_OP_NS` threshold (default 1 ms), oldest first per shard.
+    /// [`EngineConfig::slow_op_ns`] threshold, oldest first per shard.
     /// Each ring holds the 64 most recent entries;
     /// [`TelemetrySnapshot::slow_dropped`] counts the older ones dropped.
     pub fn drain_slow_ops(&self) -> Vec<SlowOp> {
@@ -1626,7 +1601,7 @@ impl SearchEngine {
         let cell = &self.shards[shard_k].telemetry;
         cell.record_duration(op, tier, ns);
         cell.note_slow(
-            self.slow_threshold_ns,
+            self.config.slow_op_ns,
             SlowOp {
                 shard: shard_k as u32,
                 op,
@@ -1695,7 +1670,7 @@ impl SearchEngine {
     /// per-slot locks.
     fn write_shard_snapshot(&self, path: &Path, shard_k: usize) -> Result<u64, ServiceError> {
         let shard = &self.shards[shard_k];
-        let mut snap = SessionWal::create(path, FsyncPolicy::Never).map_err(durability_err)?;
+        let mut snap = SessionWal::create(path).map_err(durability_err)?;
         let mut bytes = 0u64;
         let mut append = |event: &WalEvent| -> Result<(), ServiceError> {
             bytes += snap.append_buffered(event).map_err(durability_err)? as u64;

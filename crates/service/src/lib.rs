@@ -75,8 +75,7 @@ mod plan;
 pub mod telemetry;
 pub mod wire;
 
-pub use aigs_data::wal::FsyncPolicy;
-pub use durability::{DurabilityConfig, RecoveryReport};
+pub use durability::{DurabilityConfig, FsyncPolicy, RecoveryReport};
 pub use engine::{
     CompiledTier, EngineConfig, EngineStats, SearchEngine, SessionHandle, SessionId, ShardStats,
     DEFAULT_MAX_SESSIONS,

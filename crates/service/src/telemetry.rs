@@ -40,11 +40,10 @@
 //! element-wise addition, and the bucket function is a `leading_zeros` —
 //! no floats, no search.
 //!
-//! Recording is gated by [`crate::EngineConfig::telemetry`] (default: the
-//! `AIGS_TELEMETRY` environment variable, on unless `0`). Disabled
-//! telemetry skips the clock reads and every cell except the exact
-//! operation counts the engine's stats need; its snapshots are all-zero,
-//! not absent.
+//! Recording is gated by [`crate::EngineConfig::telemetry`] (default on).
+//! Disabled telemetry skips the clock reads and every cell except the
+//! exact operation counts the engine's stats need; its snapshots are
+//! all-zero, not absent.
 //!
 //! ## What is recorded
 //!
@@ -56,8 +55,8 @@
 //!   durable lifecycle counters from the log; telemetry, like `steps`,
 //!   restarts from zero).
 //! * WAL internals: appended bytes, fsync batch sizes and latencies (the
-//!   group-commit thread and explicit syncs; [`aigs_data::wal::FsyncPolicy::Always`]
-//!   syncs inside the writer and is not separately timed), group-commit
+//!   group-commit thread and explicit syncs; [`crate::FsyncPolicy::Always`]
+//!   syncs inline on the append path and is not separately timed), group-commit
 //!   flush signals (vs. actual fsyncs — the gap is coalescing), snapshot
 //!   compactions (each one timed, with the bytes its snapshot wrote), and
 //!   degraded-mode transitions.
@@ -67,7 +66,7 @@
 //!   ([`crate::SearchEngine::predict_expected_cost`]) so drift between
 //!   the paper's objective and production reality is a first-class metric.
 //! * A bounded per-shard ring of [`SlowOp`] records for timed operations
-//!   slower than the `AIGS_SLOW_OP_NS` threshold (default 1 ms), drained
+//!   slower than [`crate::EngineConfig::slow_op_ns`] (default 1 ms), drained
 //!   with [`crate::SearchEngine::drain_slow_ops`]. Like the histograms, the
 //!   journal sees only the sampled operations.
 
@@ -84,8 +83,8 @@ pub const HIST_BUCKETS: usize = 64;
 /// Slots per shard in the slow-op ring journal.
 const SLOW_RING: usize = 64;
 
-/// Default slow-op threshold (1 ms) when `AIGS_SLOW_OP_NS` is unset.
-const DEFAULT_SLOW_OP_NS: u64 = 1_000_000;
+/// Default slow-op threshold (1 ms) of [`crate::EngineConfig::slow_op_ns`].
+pub const DEFAULT_SLOW_OP_NS: u64 = 1_000_000;
 
 /// Mean gap, in operations, between two timed operations on one thread.
 /// Gaps are drawn uniformly from `1..=2·SAMPLE_MEAN_GAP − 1`.
@@ -876,26 +875,6 @@ fn subtract_counts(counts: &mut [Vec<u64>], earlier: &[Vec<u64>]) {
             *c = c.saturating_sub(*e);
         }
     }
-}
-
-/// Resolves whether telemetry records: the explicit config, else the
-/// `AIGS_TELEMETRY` environment variable (on unless `0`).
-pub(crate) fn resolve_enabled(requested: Option<bool>) -> bool {
-    requested.unwrap_or_else(|| {
-        !matches!(
-            std::env::var("AIGS_TELEMETRY").as_deref().map(str::trim),
-            Ok("0")
-        )
-    })
-}
-
-/// Resolves the slow-op journal threshold from `AIGS_SLOW_OP_NS`
-/// (nanoseconds; default 1 ms, `0` journals everything).
-pub(crate) fn resolve_slow_threshold() -> u64 {
-    std::env::var("AIGS_SLOW_OP_NS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(DEFAULT_SLOW_OP_NS)
 }
 
 // ---- Prometheus exposition ---------------------------------------------

@@ -691,7 +691,7 @@ impl WireClient {
     }
 
     /// Drains the engine's per-shard slow-op journals: operations whose
-    /// wall time crossed the `AIGS_SLOW_OP_NS` threshold, oldest first
+    /// wall time crossed [`crate::EngineConfig::slow_op_ns`], oldest first
     /// per shard (the same records
     /// [`SearchEngine::drain_slow_ops`](crate::SearchEngine::drain_slow_ops)
     /// returns in-process). Draining is destructive — records read here

@@ -74,7 +74,7 @@ fn chaos_config(dir: &Path, shards: usize) -> EngineConfig {
                 .with_fsync(FsyncPolicy::EveryN(3))
                 .with_snapshot_every(Some(20)),
         ),
-        ..EngineConfig::default()
+        ..common::engine_config()
     }
 }
 
@@ -226,13 +226,13 @@ fn run_workload(
 /// Recovers `dir` and checks the durability invariant against `shadow`.
 fn verify_recovery(dir: &Path, spec: &PlanSpec, dag: &Dag, shadow: &Shadow, label: &str) {
     let (rec, report) =
-        SearchEngine::recover(dir).unwrap_or_else(|e| panic!("{label}: recover failed: {e}"));
+        common::recover(dir).unwrap_or_else(|e| panic!("{label}: recover failed: {e}"));
     assert_eq!(
         report.sessions_failed, 0,
         "{label}: unrestorable sessions: {:?}",
         report.anomalies
     );
-    let control = SearchEngine::default();
+    let control = SearchEngine::new(common::engine_config());
     let cplan = control.register_plan(spec.clone()).unwrap();
 
     for id in &shadow.retired {
@@ -358,7 +358,7 @@ fn chaos_sweep(site: &'static str, action: FaultAction, shards: usize) {
                 // Nothing acknowledged; recovery may succeed on whatever
                 // prefix persisted or report the log unusable — it must
                 // just never panic or fabricate sessions.
-                if let Ok((rec, _)) = SearchEngine::recover(&dir) {
+                if let Ok((rec, _)) = common::recover(&dir) {
                     assert_eq!(rec.live_sessions(), 0, "{label}: phantom sessions");
                 }
             }
@@ -460,11 +460,11 @@ fn shard_writer_failure_spares_other_shards() {
     assert_eq!(engine.live_sessions(), 5);
     drop(engine); // crash
 
-    let (rec, report) = SearchEngine::recover(&dir).unwrap();
+    let (rec, report) = common::recover(&dir).unwrap();
     assert_eq!(report.shards, 3);
     assert_eq!(report.sessions_failed, 0, "{:?}", report.anomalies);
     assert!(!rec.stats().degraded);
-    let control = SearchEngine::default();
+    let control = SearchEngine::new(common::engine_config());
     let cplan = control.register_plan(spec).unwrap();
     // Every session — victim included — recovers at exactly its acked
     // prefix (the refused answer was never logged) and continues
@@ -487,7 +487,7 @@ fn panicking_policy_quarantines_only_its_session() {
     failpoints::disarm_all();
     let spec = plan_spec(0x77);
     let dag = spec.dag.clone();
-    let engine = SearchEngine::default();
+    let engine = SearchEngine::new(common::engine_config());
     let plan = engine.register_plan(spec).unwrap();
 
     let s1 = engine
@@ -541,7 +541,7 @@ fn degraded_mode_is_read_mostly_and_preserves_acks() {
     let dag = spec.dag.clone();
     let config = EngineConfig {
         durability: Some(DurabilityConfig::new(&dir).with_fsync(FsyncPolicy::Always)),
-        ..EngineConfig::default()
+        ..common::engine_config()
     };
     let engine = SearchEngine::try_new(config).unwrap();
     let plan = engine.register_plan(spec.clone()).unwrap();
@@ -606,10 +606,10 @@ fn degraded_mode_is_read_mostly_and_preserves_acks() {
     // Recovery restores BOTH sessions at exactly their acked prefixes (the
     // refused answer was never written, and the in-memory teardown was not
     // a durable retirement) and the engine is fully operational again.
-    let (rec, report) = SearchEngine::recover(&dir).unwrap();
+    let (rec, report) = common::recover(&dir).unwrap();
     assert_eq!(report.sessions, 2);
     assert!(!rec.stats().degraded);
-    let control = SearchEngine::default();
+    let control = SearchEngine::new(common::engine_config());
     let cplan = control.register_plan(spec).unwrap();
     for (sid, kind, tgt, pre) in [
         (id, PolicyKind::Wigs, target, &acked),

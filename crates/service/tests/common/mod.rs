@@ -1,4 +1,4 @@
-//! Shared helpers for the durability and chaos integration suites.
+//! Shared helpers for the service integration suites.
 
 #![allow(dead_code)] // each test binary uses a subset
 
@@ -6,7 +6,10 @@ use std::path::PathBuf;
 
 use aigs_core::{SearchOutcome, SessionStep};
 use aigs_graph::{Dag, NodeId};
-use aigs_service::{PlanId, PolicyKind, ReachChoice, SearchEngine, SessionId};
+use aigs_service::{
+    CompiledTier, DurabilityConfig, EngineConfig, PlanId, PolicyKind, ReachChoice, SearchEngine,
+    SessionId,
+};
 
 /// A fresh (pre-cleaned) scratch directory under the system temp dir,
 /// unique per process so parallel `cargo test` invocations do not collide.
@@ -30,6 +33,31 @@ pub fn env_reach_choice() -> ReachChoice {
         Some("none") => ReachChoice::None,
         Some(other) => panic!("unknown backend {other}"),
     }
+}
+
+/// The engine config the CI matrix forces: `AIGS_SHARDS` sets `shards`,
+/// and `AIGS_COMPILED` sets `compiled` (`0` → `Off`, `1` → `All`). Unset
+/// variables leave the defaults. Tests that pin a field override it.
+pub fn engine_config() -> EngineConfig {
+    EngineConfig {
+        shards: aigs_testutil::forced_shards().unwrap_or(0),
+        compiled: match aigs_testutil::forced_compiled() {
+            None => CompiledTier::PerPlan,
+            Some(false) => CompiledTier::Off,
+            Some(true) => CompiledTier::All,
+        },
+        ..EngineConfig::default()
+    }
+}
+
+/// Recovers the engine logged in `dir` under [`engine_config`].
+pub fn recover(
+    dir: impl Into<PathBuf>,
+) -> Result<(SearchEngine, aigs_service::RecoveryReport), aigs_service::ServiceError> {
+    SearchEngine::recover_with(EngineConfig {
+        durability: Some(DurabilityConfig::new(dir)),
+        ..engine_config()
+    })
 }
 
 /// Steps session `id` to completion with truthful answers for `target`,

@@ -55,7 +55,7 @@ fn roster() -> Vec<PolicyKind> {
 fn engine_with_tier(tier: CompiledTier) -> SearchEngine {
     SearchEngine::new(EngineConfig {
         compiled: tier,
-        ..EngineConfig::default()
+        ..common::engine_config()
     })
 }
 
@@ -204,7 +204,7 @@ fn crash_recover_differential(tag: &str, recover_tier: CompiledTier) {
         shards: 4,
         compiled: CompiledTier::PerPlan,
         durability: Some(DurabilityConfig::new(&dir).with_fsync(FsyncPolicy::Always)),
-        ..EngineConfig::default()
+        ..common::engine_config()
     })
     .unwrap();
     let plan = engine.register_plan(spec.clone()).unwrap();
@@ -234,7 +234,7 @@ fn crash_recover_differential(tag: &str, recover_tier: CompiledTier) {
     let (recovered, report) = SearchEngine::recover_with(EngineConfig {
         compiled: recover_tier,
         durability: Some(DurabilityConfig::new(&dir)),
-        ..EngineConfig::default()
+        ..common::engine_config()
     })
     .unwrap();
     assert_eq!(report.sessions_failed, 0, "{:?}", report.anomalies);

@@ -6,9 +6,7 @@ use std::sync::Arc;
 use aigs_core::{CoreError, NodeWeights, SessionStep};
 use aigs_graph::generate::{random_dag, random_tree, DagConfig, TreeConfig};
 use aigs_graph::{Dag, NodeId};
-use aigs_service::{
-    CompiledTier, EngineConfig, PlanSpec, PolicyKind, SearchEngine, ServiceError, SessionId,
-};
+use aigs_service::{EngineConfig, PlanSpec, PolicyKind, SearchEngine, ServiceError, SessionId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -90,12 +88,9 @@ fn interleaved_sessions_resolve_their_own_targets() {
 #[test]
 fn sequential_sessions_reuse_pooled_policies() {
     let (dag, weights) = dag_plan(80, 29);
-    // Pin the live tier: this test asserts pool internals, which compiled
-    // sessions (under AIGS_COMPILED=1) never touch.
-    let engine = SearchEngine::new(EngineConfig {
-        compiled: CompiledTier::PerPlan,
-        ..EngineConfig::default()
-    });
+    // The default tier serves a plan without a compiled opt-in live, so
+    // every session goes through the pool this test inspects.
+    let engine = SearchEngine::default();
     let plan = engine
         .register_plan(PlanSpec::new(dag.clone(), weights))
         .unwrap();

@@ -52,7 +52,7 @@ fn roster() -> Vec<PolicyKind> {
 fn durable_config(dir: &std::path::Path, fsync: FsyncPolicy) -> EngineConfig {
     EngineConfig {
         durability: Some(DurabilityConfig::new(dir).with_fsync(fsync)),
-        ..EngineConfig::default()
+        ..common::engine_config()
     }
 }
 
@@ -98,7 +98,7 @@ fn recovered_sessions_continue_bit_identically() {
     assert!(!pre_stats.degraded);
     drop(engine); // crash: nothing flushed explicitly, no graceful shutdown
 
-    let (rec, report) = SearchEngine::recover(&dir).unwrap();
+    let (rec, report) = common::recover(&dir).unwrap();
     assert_eq!(report.plans, 1);
     assert_eq!(report.sessions, kinds.len());
     assert_eq!(report.sessions_failed, 0);
@@ -121,7 +121,7 @@ fn recovered_sessions_continue_bit_identically() {
     assert_eq!(stats.live, kinds.len());
 
     // Uncrashed control: same plan on a fresh in-memory engine.
-    let control = SearchEngine::default();
+    let control = SearchEngine::new(common::engine_config());
     let cplan = control.register_plan(spec).unwrap();
     let cfin = open_and_replay(&control, cplan, PolicyKind::GreedyDag, &[]);
     let (ct, cout) = drive_to_end(&control, cfin, &dag, fin_target);
@@ -157,7 +157,7 @@ fn compaction_is_crash_safe() {
                 .with_fsync(FsyncPolicy::Never)
                 .with_snapshot_every(Some(12)),
         ),
-        ..EngineConfig::default()
+        ..common::engine_config()
     };
     let engine = SearchEngine::try_new(config).unwrap();
     let plan = engine.register_plan(spec.clone()).unwrap();
@@ -214,7 +214,7 @@ fn compaction_is_crash_safe() {
         assert!(!shard.join("snapshot.new.log").exists(), "{shard:?}");
     }
 
-    let (rec, report) = SearchEngine::recover(&dir).unwrap();
+    let (rec, report) = common::recover(&dir).unwrap();
     assert_eq!(report.sessions, 2);
     assert_eq!(report.sessions_failed, 0);
     assert!(report.anomalies.is_empty(), "{:?}", report.anomalies);
@@ -223,7 +223,7 @@ fn compaction_is_crash_safe() {
     // what must be exact.
     assert_eq!(rec.live_sessions(), 2);
 
-    let control = SearchEngine::default();
+    let control = SearchEngine::new(common::engine_config());
     let cplan = control.register_plan(spec).unwrap();
     for (id, kind, target, prefix) in [
         (a, PolicyKind::Wigs, ta, prefix_a),
@@ -258,7 +258,7 @@ fn repeated_crash_recover_cycles_stay_exact() {
     }
     drop(engine);
 
-    let (rec1, _) = SearchEngine::recover(&dir).unwrap();
+    let (rec1, _) = common::recover(&dir).unwrap();
     if let SessionStep::Ask(q) = rec1.next_question(id).unwrap() {
         let yes = dag.reaches(q, target);
         transcript.push((q, yes));
@@ -266,12 +266,12 @@ fn repeated_crash_recover_cycles_stay_exact() {
     }
     drop(rec1);
 
-    let (rec2, report) = SearchEngine::recover(&dir).unwrap();
+    let (rec2, report) = common::recover(&dir).unwrap();
     assert_eq!(report.sessions, 1);
     let (tail, out) = drive_to_end(&rec2, id, &dag, target);
     transcript.extend(tail);
 
-    let control = SearchEngine::default();
+    let control = SearchEngine::new(common::engine_config());
     let cplan = control.register_plan(spec).unwrap();
     let cid = open_and_replay(&control, cplan, kind, &[]);
     let (want_t, want_out) = drive_to_end(&control, cid, &dag, target);
@@ -307,7 +307,7 @@ fn fresh_engine_wipes_the_previous_tenants_logs() {
 
     // Recovery sees only B: A's snapshot was wiped at B's creation, and
     // A's session id carries the wrong engine nonce.
-    let (rec, report) = SearchEngine::recover(&dir).unwrap();
+    let (rec, report) = common::recover(&dir).unwrap();
     assert_eq!(report.plans, 1);
     assert_eq!(report.sessions, 1);
     assert!(matches!(
@@ -339,7 +339,7 @@ fn compaction_preserves_retired_slot_generations() {
     engine.compact().unwrap(); // trims the open/answer/finish history
     drop(engine); // crash
 
-    let (rec, _) = SearchEngine::recover(&dir).unwrap();
+    let (rec, _) = common::recover(&dir).unwrap();
     assert!(matches!(
         rec.next_question(stale),
         Err(ServiceError::UnknownSession(_))
@@ -367,9 +367,9 @@ fn compaction_preserves_retired_slot_generations() {
     // empty tail) is the only surviving history.
     drive_to_end(&rec, fresh, &dag, NodeId::new(3));
     drop(rec);
-    let (rec2, _) = SearchEngine::recover(&dir).unwrap();
+    let (rec2, _) = common::recover(&dir).unwrap();
     drop(rec2);
-    let (rec3, _) = SearchEngine::recover(&dir).unwrap();
+    let (rec3, _) = common::recover(&dir).unwrap();
     let third = rec3.open_session(plan, PolicyKind::TopDown).unwrap().id();
     assert_ne!(third, stale);
     assert_ne!(third, fresh);
@@ -384,16 +384,16 @@ fn compaction_preserves_retired_slot_generations() {
 #[test]
 fn recovery_error_paths_are_typed() {
     // recover_with demands a durability config…
-    let err = SearchEngine::recover_with(EngineConfig::default()).unwrap_err();
+    let err = SearchEngine::recover_with(common::engine_config()).unwrap_err();
     assert!(matches!(err, ServiceError::Durability(_)));
     // …and an empty directory has nothing to recover from.
-    let err = SearchEngine::recover(scratch_dir("recover-empty")).unwrap_err();
+    let err = common::recover(scratch_dir("recover-empty")).unwrap_err();
     assert!(matches!(err, ServiceError::Durability(_)));
     // A flat pre-shard layout (a format-v1 `wal.log` directly under the
     // directory) is refused, not migrated, and left where it is.
     let flat = scratch_dir("recover-flat");
     std::fs::create_dir_all(&flat).unwrap();
-    let mut wal = SessionWal::create(flat.join("wal.log"), FsyncPolicy::Always).unwrap();
+    let mut wal = SessionWal::create(flat.join("wal.log")).unwrap();
     wal.append(&WalEvent::EngineMeta {
         version: 1,
         engine_id: 7,
@@ -401,7 +401,7 @@ fn recovery_error_paths_are_typed() {
     .unwrap();
     drop(wal);
     let before = std::fs::read(flat.join("wal.log")).unwrap();
-    let err = SearchEngine::recover(&flat).unwrap_err();
+    let err = common::recover(&flat).unwrap_err();
     assert!(matches!(err, ServiceError::Durability(_)), "{err:?}");
     assert_eq!(std::fs::read(flat.join("wal.log")).unwrap(), before);
     assert!(!flat.join("shard-0").exists());
@@ -422,7 +422,7 @@ fn rewrite_logs(from: &std::path::Path, to: &std::path::Path, version: u16) -> u
             let read = read_wal(&file).unwrap();
             assert!(read.corruption.is_none(), "{file:?}: {:?}", read.corruption);
             let out = out_dir.join(file.file_name().unwrap());
-            let mut wal = SessionWal::create(out, FsyncPolicy::Never).unwrap();
+            let mut wal = SessionWal::create(out).unwrap();
             for event in read.events {
                 match event {
                     WalEvent::EngineMeta { engine_id, .. } => {
@@ -481,7 +481,7 @@ fn format_v2_logs_recover_and_continue_bit_identically() {
                 .with_fsync(FsyncPolicy::Never)
                 .with_snapshot_every(None),
         ),
-        ..EngineConfig::default()
+        ..common::engine_config()
     })
     .unwrap();
     let plan = engine.register_plan(spec.clone()).unwrap();
@@ -518,12 +518,12 @@ fn format_v2_logs_recover_and_continue_bit_identically() {
 
     let v2 = scratch_dir("recover-v2");
     assert_eq!(rewrite_logs(&dir, &v2, 2), kinds.len());
-    let (rec, report) = SearchEngine::recover(&v2).unwrap();
+    let (rec, report) = common::recover(&v2).unwrap();
     assert_eq!(report.sessions, live.len());
     assert_eq!(report.sessions_failed, 0);
     assert!(report.anomalies.is_empty(), "{:?}", report.anomalies);
 
-    let control = SearchEngine::default();
+    let control = SearchEngine::new(common::engine_config());
     let cplan = control.register_plan(spec).unwrap();
     for (id, kind, target, prefix) in live {
         let (got_t, got_out) = drive_to_end(&rec, id, &dag, target);
@@ -539,7 +539,7 @@ fn format_v2_logs_recover_and_continue_bit_identically() {
 
     let v4 = scratch_dir("recover-v4");
     rewrite_logs(&dir, &v4, 4);
-    let err = SearchEngine::recover(&v4).unwrap_err();
+    let err = common::recover(&v4).unwrap_err();
     assert!(
         matches!(&err, ServiceError::Durability(m) if m.contains("format v4")),
         "{err:?}"

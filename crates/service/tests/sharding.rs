@@ -1,8 +1,8 @@
 //! Shard-count invariance: the number of shards is a *placement* decision
 //! and must never be observable in what a session asks, answers, or
-//! charges. Every test here pins `EngineConfig::shards` explicitly (the
-//! bench host may resolve auto-sharding to 1) and compares N-shard
-//! engines against a 1-shard engine and the inline [`run_session`] loop.
+//! charges. The invariance tests pin `EngineConfig::shards` explicitly
+//! (the host's parallelism may be 1) and compare N-shard engines against
+//! a 1-shard engine and the inline [`run_session`] loop.
 
 mod common;
 
@@ -49,7 +49,7 @@ fn roster() -> Vec<PolicyKind> {
 fn sharded_engine(shards: usize) -> (SearchEngine, aigs_service::PlanId) {
     let engine = SearchEngine::new(EngineConfig {
         shards,
-        ..EngineConfig::default()
+        ..common::engine_config()
     });
     let plan = engine.register_plan(plan_spec()).unwrap();
     (engine, plan)
@@ -126,7 +126,7 @@ fn interleaved_sessions_stay_isolated_across_shards() {
     }
     assert_eq!(engine.live_sessions(), 16);
 
-    let control = SearchEngine::default();
+    let control = SearchEngine::new(common::engine_config());
     let cplan = control.register_plan(spec).unwrap();
     for (id, target, prefix) in rows.into_iter().rev() {
         let (got_t, got_out) = drive_to_end(&engine, id, &dag, target);
@@ -157,7 +157,7 @@ fn crash_recovery_is_bit_identical_across_shard_counts() {
     let engine = SearchEngine::try_new(EngineConfig {
         shards: 3,
         durability: Some(DurabilityConfig::new(&dir).with_fsync(FsyncPolicy::EveryN(4))),
-        ..EngineConfig::default()
+        ..common::engine_config()
     })
     .unwrap();
     let plan = engine.register_plan(spec.clone()).unwrap();
@@ -192,7 +192,7 @@ fn crash_recovery_is_bit_identical_across_shard_counts() {
     let (rec, report) = SearchEngine::recover_with(EngineConfig {
         shards: 8,
         durability: Some(DurabilityConfig::new(&dir)),
-        ..EngineConfig::default()
+        ..common::engine_config()
     })
     .unwrap();
     assert_eq!(report.shards, 3);
@@ -204,7 +204,7 @@ fn crash_recovery_is_bit_identical_across_shard_counts() {
 
     let control = SearchEngine::new(EngineConfig {
         shards: 1,
-        ..EngineConfig::default()
+        ..common::engine_config()
     });
     let cplan = control.register_plan(spec).unwrap();
     for (id, kind, target, prefix) in live {
@@ -233,7 +233,7 @@ fn admission_limit_and_idle_eviction_span_shards() {
         shards: 4,
         max_sessions: 6,
         idle_ticks: Some(8),
-        ..EngineConfig::default()
+        ..common::engine_config()
     });
     let plan = engine.register_plan(spec).unwrap();
 
@@ -297,7 +297,7 @@ fn failed_finish_keeps_session_evictable() {
     let engine = SearchEngine::new(EngineConfig {
         shards: 2,
         idle_ticks: Some(4),
-        ..EngineConfig::default()
+        ..common::engine_config()
     });
     let plan = engine.register_plan(spec).unwrap();
     let id = engine.open_session(plan, PolicyKind::TopDown).unwrap().id();
@@ -317,12 +317,30 @@ fn failed_finish_keeps_session_evictable() {
     assert_eq!(engine.live_sessions(), 0);
 }
 
-/// `shards: 0` resolves via `AIGS_SHARDS` or the host's parallelism and
-/// writes the resolved count back into the running config.
+/// The engine reads no environment: whatever the process was launched
+/// with (the CI matrix sets `AIGS_SHARDS` and `AIGS_COMPILED`), a default
+/// engine runs one shard per core and compiles only opted-in plans.
 #[test]
-fn auto_shard_resolution_is_observable() {
+fn default_engine_ignores_the_environment() {
     let engine = SearchEngine::default();
-    let resolved = engine.config().shards;
-    assert!(resolved >= 1);
-    assert_eq!(engine.stats().shards, resolved);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(engine.config().shards, cores);
+    assert_eq!(engine.stats().shards, cores);
+    assert_eq!(
+        engine.config().compiled,
+        aigs_service::CompiledTier::PerPlan
+    );
+
+    let dag = Arc::new(aigs_testutil::tree_from_seed(N, SEED));
+    let plan = engine
+        .register_plan(PlanSpec::new(
+            Arc::clone(&dag),
+            Arc::new(generic_weights(N, SEED)),
+        ))
+        .unwrap();
+    for kind in [PolicyKind::TopDown, PolicyKind::GreedyTree] {
+        let id = engine.open_session(plan, kind).unwrap().id();
+        drive_to_end(&engine, id, &dag, NodeId::new(N - 1));
+    }
+    assert_eq!(engine.stats().compiled_hits, 0, "no plan opted in");
 }

@@ -432,16 +432,15 @@ fn wal_metrics_populate_under_durability() {
 /// fills, stays bounded, and drains destructively.
 #[test]
 fn slow_op_journal_captures_and_bounds() {
-    std::env::set_var("AIGS_SLOW_OP_NS", "1");
     let n = 12;
     let dag = Arc::new(dag_from_seed(n, 0.3, 0x510));
     let weights = Arc::new(generic_weights(n, 0x510));
     let engine = SearchEngine::new(EngineConfig {
         shards: 2,
         telemetry: Some(true),
+        slow_op_ns: 1,
         ..EngineConfig::default()
     });
-    std::env::remove_var("AIGS_SLOW_OP_NS");
     let plan = engine
         .register_plan(PlanSpec::new(Arc::clone(&dag), weights))
         .unwrap();

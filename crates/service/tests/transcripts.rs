@@ -7,6 +7,8 @@
 //! This is what licenses serving searches suspended: suspension changes
 //! *when* answers arrive, never *what* is asked.
 
+mod common;
+
 use std::sync::Arc;
 
 use aigs_core::{run_session, SearchContext, SessionStep, TargetOracle, TranscriptOracle};
@@ -113,7 +115,7 @@ fn check_all(dag: Arc<Dag>, seed: u64) -> Result<(), TestCaseError> {
     let costs = Arc::new(generic_prices(n, seed));
 
     for (_name, choice, reference_index) in backends(&dag, seed) {
-        let engine = SearchEngine::default();
+        let engine = SearchEngine::new(common::engine_config());
         let plan = engine
             .register_plan(
                 PlanSpec::new(dag.clone(), weights.clone())
@@ -157,6 +159,13 @@ fn check_all(dag: Arc<Dag>, seed: u64) -> Result<(), TestCaseError> {
                     z
                 );
             }
+        }
+        // The matrix's compiled cell must actually serve from the tier.
+        if aigs_testutil::forced_compiled() == Some(true) {
+            prop_assert!(
+                engine.stats().compiled_hits > 0,
+                "AIGS_COMPILED=1 but no step was served compiled"
+            );
         }
     }
     Ok(())

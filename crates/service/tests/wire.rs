@@ -23,7 +23,7 @@ fn serve(shards: usize, max_sessions: usize) -> (Arc<SearchEngine>, PlanId, Wire
     let engine = Arc::new(SearchEngine::new(EngineConfig {
         shards,
         max_sessions,
-        ..EngineConfig::default()
+        ..common::engine_config()
     }));
     let dag = Arc::new(dag_from_seed(N, 0.3, SEED));
     let weights = Arc::new(generic_weights(N, SEED));
@@ -147,7 +147,7 @@ fn faults_are_typed() {
     }
     // A plan id minted by a *different* engine carries the wrong engine
     // nonce, so this server has never heard of it.
-    let stranger = SearchEngine::default();
+    let stranger = SearchEngine::new(common::engine_config());
     let foreign: PlanId = stranger
         .register_plan(
             aigs_service::PlanSpec::new(
@@ -305,14 +305,13 @@ fn stats_shard_stats_and_metrics_over_wire() {
 /// destructive.
 #[test]
 fn slow_ops_drain_over_wire() {
-    std::env::set_var("AIGS_SLOW_OP_NS", "1");
     let engine = Arc::new(SearchEngine::new(EngineConfig {
         shards: 2,
         max_sessions: 64,
         telemetry: Some(true),
-        ..EngineConfig::default()
+        slow_op_ns: 1,
+        ..common::engine_config()
     }));
-    std::env::remove_var("AIGS_SLOW_OP_NS");
     let dag = Arc::new(dag_from_seed(N, 0.3, SEED));
     let weights = Arc::new(generic_weights(N, SEED));
     let plan = engine

@@ -90,8 +90,7 @@ pub fn forced_backend() -> Option<&'static str> {
 /// The compiled-tier mode forced by `AIGS_COMPILED`, if any: `false` for
 /// `0` (tier off), `true` for `1` (compile everything). Unknown values
 /// panic so a typo in a CI matrix fails loudly instead of silently testing
-/// nothing — the service's own resolver is deliberately lenient, so this
-/// strict parse is the test-facing guard.
+/// nothing.
 pub fn forced_compiled() -> Option<bool> {
     match std::env::var("AIGS_COMPILED") {
         Err(_) => None,
@@ -100,6 +99,19 @@ pub fn forced_compiled() -> Option<bool> {
             "1" => Some(true),
             other => panic!("unknown AIGS_COMPILED {other:?} (expected 0 or 1)"),
         },
+    }
+}
+
+/// The engine shard count forced by `AIGS_SHARDS`, if any. Anything but a
+/// positive integer panics, for the same reason as [`forced_compiled`].
+pub fn forced_shards() -> Option<usize> {
+    std::env::var("AIGS_SHARDS").ok().map(|v| parse_shards(&v))
+}
+
+fn parse_shards(v: &str) -> usize {
+    match v.trim().parse::<usize>() {
+        Ok(n) if n > 0 => n,
+        _ => panic!("unknown AIGS_SHARDS {v:?} (expected a positive integer)"),
     }
 }
 
@@ -224,6 +236,22 @@ mod tests {
             Ok("0") => assert_eq!(forced_compiled(), Some(false)),
             Ok("1") => assert_eq!(forced_compiled(), Some(true)),
             Ok(_) => {} // would panic; not constructible from a green matrix
+        }
+    }
+
+    #[test]
+    fn shards_knob_parses_strictly() {
+        // Same env-var caveat for the variable itself; the parser it
+        // applies is checked directly.
+        match std::env::var("AIGS_SHARDS") {
+            Err(_) => assert_eq!(forced_shards(), None),
+            Ok(v) => assert_eq!(forced_shards(), Some(parse_shards(&v))),
+        }
+        assert_eq!(parse_shards("4"), 4);
+        assert_eq!(parse_shards(" 1 "), 1);
+        for bad in ["0", "-1", "four", ""] {
+            let refused = std::panic::catch_unwind(|| parse_shards(bad)).is_err();
+            assert!(refused, "{bad:?} must not parse as a shard count");
         }
     }
 
