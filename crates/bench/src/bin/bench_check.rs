@@ -124,6 +124,24 @@ fn judge_faster(current: &ExactMap<'_>, a: &str, b: &str) -> Result<(f64, f64, b
     Ok((fast, slow, fast <= slow * FASTER_SLACK))
 }
 
+/// The report line of one judged `--require-faster` pair: both medians,
+/// the measured `A / B` ratio and the slack it is held to, so a pass shows
+/// its margin as plainly as a failure shows its excess.
+fn faster_line(a: &str, b: &str, fast: f64, slow: f64, holds: bool) -> String {
+    let ratio = fast / slow;
+    if holds {
+        format!(
+            "ok    {a} ({fast:.1} ns) faster than {b} ({slow:.1} ns): \
+             {ratio:.2}x of {FASTER_SLACK:.2}x slack"
+        )
+    } else {
+        format!(
+            "FAIL  {a} ({fast:.1} ns) not faster than {b} ({slow:.1} ns): \
+             {ratio:.2}x over {FASTER_SLACK:.2}x slack"
+        )
+    }
+}
+
 /// Compares one current row against the baseline maps.
 fn judge(row: &Row, exact: &ExactMap<'_>, stripped: &StrippedMap<'_>, tolerance: f64) -> Verdict {
     let matched: Option<(&str, f64)> = exact
@@ -211,15 +229,10 @@ fn run(
             .collect();
         for (a, b) in faster {
             let (fast, slow, holds) = judge_faster(&current_map, a, b)?;
-            if holds {
-                println!("ok    {a} ({fast:.1} ns) faster than {b} ({slow:.1} ns)");
-            } else {
+            if !holds {
                 inversions += 1;
-                println!(
-                    "FAIL  {a} ({fast:.1} ns) not faster than {b} ({slow:.1} ns, \
-                     {FASTER_SLACK}x slack)"
-                );
             }
+            println!("{}", faster_line(a, b, fast, slow, holds));
         }
     }
     println!(
@@ -369,12 +382,23 @@ mod tests {
         assert!(holds);
         assert_eq!((a, b), (100.0, 200.0));
         // Within the 10% slack: jitter, not an inversion.
-        let (_, _, holds) = judge_faster(&exact, "yes_chain/noisy/64", "yes_chain/inc/64").unwrap();
+        let (a, b, holds) = judge_faster(&exact, "yes_chain/noisy/64", "yes_chain/inc/64").unwrap();
         assert!(holds, "8% over must pass the 10% slack");
-        // Past the slack: a real inversion fails.
-        let (_, _, holds) =
+        // A pass prints its margin: the measured ratio against the slack.
+        assert_eq!(
+            faster_line("yes_chain/noisy/64", "yes_chain/inc/64", a, b, holds),
+            "ok    yes_chain/noisy/64 (108.0 ns) faster than yes_chain/inc/64 (100.0 ns): \
+             1.08x of 1.10x slack"
+        );
+        // Past the slack: a real inversion fails, and says by how much.
+        let (a, b, holds) =
             judge_faster(&exact, "yes_chain/scratch/64", "yes_chain/inc/64").unwrap();
         assert!(!holds);
+        assert_eq!(
+            faster_line("yes_chain/scratch/64", "yes_chain/inc/64", a, b, holds),
+            "FAIL  yes_chain/scratch/64 (200.0 ns) not faster than yes_chain/inc/64 (100.0 ns): \
+             2.00x over 1.10x slack"
+        );
         // A missing id is an error, never a silent pass.
         assert!(judge_faster(&exact, "typo/row", "yes_chain/inc/64").is_err());
         assert!(judge_faster(&exact, "yes_chain/inc/64", "typo/row").is_err());

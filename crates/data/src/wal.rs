@@ -796,40 +796,60 @@ fn decode_event(payload: &[u8]) -> Result<WalEvent, String> {
 
 // ---- CRC-32 (IEEE 802.3) ----------------------------------------------
 
-/// The IEEE CRC-32 of `bytes` (the checksum in every record header).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    // Nibble-driven table: 16 entries, built in const context — no
-    // dependency, no runtime init, ~4 bits/step is plenty for WAL records.
-    const TABLE: [u32; 16] = {
-        let mut t = [0u32; 16];
+/// Slice-by-8 tables for the reflected IEEE polynomial, built in const
+/// context (no dependency, no runtime init): `CRC_TABLES[0]` is the classic
+/// byte table, and `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, so eight table lookups fold eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                (c >> 1) ^ 0xEDB8_8320
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
-        while i < 16 {
-            let mut c = (i as u32) << 28;
-            let mut k = 0;
-            while k < 4 {
-                c = if c & 0x8000_0000 != 0 {
-                    (c << 1) ^ 0x04C1_1DB7
-                } else {
-                    c << 1
-                };
-                k += 1;
-            }
-            t[i] = c;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        t
-    };
-    // Reflected implementation via bit-reversal-free nibble processing of
-    // the reversed polynomial would be the usual trick; for clarity use the
-    // forward form on reflected bytes.
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        let rb = b.reverse_bits();
-        crc ^= (rb as u32) << 24;
-        crc = (crc << 4) ^ TABLE[(crc >> 28) as usize];
-        crc = (crc << 4) ^ TABLE[(crc >> 28) as usize];
+        k += 1;
     }
-    (!crc).reverse_bits()
+    t
+};
+
+/// The IEEE CRC-32 of `bytes` (the checksum in every record header).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !crc
 }
 
 #[cfg(test)]
@@ -930,6 +950,48 @@ mod tests {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The textbook bit-at-a-time reflected CRC-32, as the reference the
+    /// table-driven [`crc32`] must match bit for bit.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_reference() {
+        // Lengths 0..=64 pair every remainder after the 8-byte chunks
+        // with 0 to 8 whole chunks.
+        let data: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=data.len() {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bitwise(&data[..len]),
+                "len {len}"
+            );
+        }
+        // One buffer past 1 MiB, from a xorshift stream.
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        let big: Vec<u8> = (0..(1 << 20) + 13)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        assert_eq!(crc32(&big), crc32_bitwise(&big));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use aigs_core::{
     CompiledConfig, CompiledCursor, CompiledPlan, CoreError, SearchOutcome, SessionStep,
@@ -312,6 +312,124 @@ struct Slot {
     session: Option<LiveSession>,
 }
 
+/// Slots in a [`SlotTable`]'s first segment; segment `s` holds
+/// `FIRST_SEGMENT << s` slots.
+const FIRST_SEGMENT: u32 = 64;
+
+/// Segments needed to cover every `u32` local index:
+/// `FIRST_SEGMENT · (2^26 − 1) < 2^32 ≤ FIRST_SEGMENT · (2^27 − 1)`.
+const SEGMENTS: usize = 27;
+
+/// The segment and offset of local slot `local`. Segment `s` starts at
+/// `FIRST_SEGMENT · (2^s − 1)`, so `local + FIRST_SEGMENT` has its highest
+/// set bit at `s + log₂ FIRST_SEGMENT`.
+fn segment_of(local: u32) -> (usize, usize) {
+    let k = u64::from(local) + u64::from(FIRST_SEGMENT);
+    let seg = (63 - k.leading_zeros() - FIRST_SEGMENT.trailing_zeros()) as usize;
+    (seg, (k - (u64::from(FIRST_SEGMENT) << seg)) as usize)
+}
+
+/// A shard's append-only slot slab and its free list.
+///
+/// Slots live in segments of doubling size (64, 128, 256, …) that are
+/// allocated once and never move or shrink, so [`get`](Self::get) hands out
+/// a plain `&Mutex<Slot>` after one `Acquire` load and index arithmetic —
+/// no table lock and no refcount on the step path.
+///
+/// Publication ordering: only [`allocate`](Self::allocate) grows the
+/// table, under the free-list mutex, so `len` has one writer at a time.
+/// It initialises the new slot's segment (`OnceLock`, itself a release)
+/// *before* storing the new `len` with `Release`. A reader that sees
+/// `local < len` through its `Acquire` load therefore also sees the
+/// segment, fully built. An index reaches another thread only after
+/// `allocate` returned it (inside a session id, the idle list, or a
+/// snapshot's scan up to `len`), so no reader races a slot's creation.
+/// Segment slots past `len` stay empty and unreachable until allocated.
+struct SlotTable {
+    segments: [OnceLock<Box<[Mutex<Slot>]>>; SEGMENTS],
+    len: AtomicU32,
+    /// Released local indices, reused before the table grows. Its mutex
+    /// also serializes growth.
+    free: Mutex<Vec<u32>>,
+}
+
+impl SlotTable {
+    fn new() -> SlotTable {
+        SlotTable {
+            segments: std::array::from_fn(|_| OnceLock::new()),
+            len: AtomicU32::new(0),
+            free: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// A table holding `slots` at local indices `0..slots.len()`, with
+    /// `free` as its free list (recovery's rebuild).
+    fn from_slots(slots: Vec<Slot>, free: Vec<u32>) -> SlotTable {
+        let table = SlotTable::new();
+        for slot in slots {
+            let local = table.allocate();
+            *table.lock(local) = slot;
+        }
+        *table.free.lock().expect("free list poisoned") = free;
+        table
+    }
+
+    /// The number of slots ever allocated (the valid local indices).
+    fn len(&self) -> u32 {
+        self.len.load(Ordering::Acquire)
+    }
+
+    /// Slot `local`, or `None` if it was never allocated.
+    fn get(&self, local: u32) -> Option<&Mutex<Slot>> {
+        if local >= self.len() {
+            return None;
+        }
+        let (seg, off) = segment_of(local);
+        let segment = self.segments[seg]
+            .get()
+            .expect("a published slot's segment exists");
+        Some(&segment[off])
+    }
+
+    /// Locks slot `local`, which must have been allocated.
+    fn lock(&self, local: u32) -> std::sync::MutexGuard<'_, Slot> {
+        self.get(local)
+            .expect("slot index was allocated")
+            .lock()
+            .expect("slot lock poisoned")
+    }
+
+    /// A free slot's local index: a released one if any, else a new empty
+    /// slot at the end (generation 0), allocating its segment on first use.
+    fn allocate(&self) -> u32 {
+        let mut free = self.free.lock().expect("free list poisoned");
+        if let Some(local) = free.pop() {
+            return local;
+        }
+        // The free-list lock held here makes this the only writer of `len`.
+        let local = self.len.load(Ordering::Relaxed);
+        let next = local.checked_add(1).expect("slot count fits u32");
+        let (seg, _) = segment_of(local);
+        self.segments[seg].get_or_init(|| {
+            (0..FIRST_SEGMENT << seg)
+                .map(|_| {
+                    Mutex::new(Slot {
+                        generation: 0,
+                        session: None,
+                    })
+                })
+                .collect()
+        });
+        self.len.store(next, Ordering::Release);
+        local
+    }
+
+    /// Returns `local` (emptied by its caller) to the free list.
+    fn release(&self, local: u32) {
+        self.free.lock().expect("free list poisoned").push(local);
+    }
+}
+
 /// One node of an [`IdleList`].
 #[derive(Clone, Copy)]
 struct IdleLink {
@@ -411,15 +529,16 @@ struct Counters {
     pool_hits: AtomicU64,
 }
 
-/// One slab shard: slots, free list, idle list, stats and WAL tail, each
-/// owned exclusively so mutators on different shards share no locks. The
+/// One slab shard: slot table (with its free list), idle list, stats and
+/// WAL tail, each owned exclusively so mutators on different shards share
+/// no locks. A step locks only its session's slot and the idle list: the
+/// [`SlotTable`] resolves an index without a lock. The
 /// logical clock, live count and degraded flag stay engine-global: the
 /// clock so idle ages are comparable across shards (a per-shard clock
 /// would let sessions on a quiet shard never age), the live count so
 /// `max_sessions` keeps its exact engine-wide meaning.
 struct Shard {
-    slots: RwLock<Vec<Arc<Mutex<Slot>>>>,
-    free: Mutex<Vec<u32>>,
+    slots: SlotTable,
     /// This shard's live sessions in touch order; `None` when idle
     /// eviction is off. See [`IdleList`] for the invariants.
     idle: Option<Mutex<IdleList>>,
@@ -438,8 +557,7 @@ struct Shard {
 impl Shard {
     fn empty(telemetry_enabled: bool, track_idle: bool) -> Shard {
         Shard {
-            slots: RwLock::new(Vec::new()),
-            free: Mutex::new(Vec::new()),
+            slots: SlotTable::new(),
             idle: track_idle.then(|| Mutex::new(IdleList::new())),
             counters: Counters::default(),
             live: AtomicU64::new(0),
@@ -746,8 +864,7 @@ impl SearchEngine {
             counters.cancelled.store(part.cancelled, Ordering::Relaxed);
             counters.evicted.store(part.evicted, Ordering::Relaxed);
             shards.push(Shard {
-                slots: RwLock::new(part.slots),
-                free: Mutex::new(part.free),
+                slots: SlotTable::from_slots(part.slots, part.free),
                 idle: part.idle.map(Mutex::new),
                 counters,
                 live: AtomicU64::new(part.live as u64),
@@ -957,9 +1074,8 @@ impl SearchEngine {
             answers: Vec::new(),
         };
         let local = allocate_slot(shard);
-        let slot_arc = slot_arc(shard, local);
         let generation = {
-            let mut slot = slot_arc.lock().expect("slot lock poisoned");
+            let mut slot = shard.slots.lock(local);
             debug_assert!(slot.session.is_none(), "free list handed out a live slot");
             // Log before publishing: on failure the caller never saw an id,
             // so nothing durable or visible changed.
@@ -1136,10 +1252,10 @@ impl SearchEngine {
         // Probe resolution and take the session under ONE slot-lock
         // acquisition: a probe-then-remove pair would let a concurrent
         // cancel/evict slip between the two and discard the outcome.
-        let (shard_k, local, slot_arc) = self.locate(id)?;
+        let (shard_k, local, slot) = self.locate(id)?;
         let shard = &self.shards[shard_k];
         let (outcome, session) = {
-            let mut slot = slot_arc.lock().expect("slot lock poisoned");
+            let mut slot = slot.lock().expect("slot lock poisoned");
             if slot.generation != id.generation {
                 return Err(ServiceError::UnknownSession(id));
             }
@@ -1694,19 +1810,11 @@ impl SearchEngine {
                 })?;
             }
         }
-        let slots: Vec<(u32, Arc<Mutex<Slot>>)> = {
-            let slots = shard.slots.read().expect("slots lock poisoned");
-            slots
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (i as u32, Arc::clone(s)))
-                .collect()
-        };
-        for (local, slot_arc) in slots {
+        for local in 0..shard.slots.len() {
             // Capture each session atomically under its lock; concurrent
             // later events land in the rotated tail and replay idempotently
             // on top (duplicates skip by sequence number).
-            let slot = slot_arc.lock().expect("slot lock poisoned");
+            let slot = shard.slots.lock(local);
             let Some(s) = slot.session.as_ref() else {
                 // Empty slot: its retire tombstones are being compacted
                 // away, so persist the generation as a watermark — recovery
@@ -1800,8 +1908,7 @@ impl SearchEngine {
             // under both: a touch, finish or cancel may have moved or
             // unlinked it since the peek. A relinked slot carries a later
             // stamp, so an unchanged (head, stamp) pair is the same session.
-            let slot_arc = slot_arc(shard, local);
-            let mut slot = slot_arc.lock().expect("slot lock poisoned");
+            let mut slot = shard.slots.lock(local);
             {
                 let mut list = idle.lock().expect("idle list poisoned");
                 if list.oldest() != Some((local, touched)) {
@@ -1847,26 +1954,22 @@ impl SearchEngine {
     fn release_slot(&self, shard: &Shard, local: u32) {
         self.live.fetch_sub(1, Ordering::Relaxed);
         shard.live.fetch_sub(1, Ordering::Relaxed);
-        shard.free.lock().expect("free list poisoned").push(local);
+        shard.slots.release(local);
     }
 
     /// Resolves `id` to its shard, local slot index and slot, rejecting
     /// ids issued by another engine.
-    fn locate(&self, id: SessionId) -> Result<(usize, u32, Arc<Mutex<Slot>>), ServiceError> {
+    fn locate(&self, id: SessionId) -> Result<(usize, u32, &Mutex<Slot>), ServiceError> {
         if id.engine != self.engine_id {
             return Err(ServiceError::UnknownSession(id));
         }
         let shard_count = self.shards.len() as u32;
         let shard_k = (id.index % shard_count) as usize;
         let local = id.index / shard_count;
-        let slots = self.shards[shard_k]
+        self.shards[shard_k]
             .slots
-            .read()
-            .expect("slots lock poisoned");
-        slots
-            .get(local as usize)
-            .cloned()
-            .map(|arc| (shard_k, local, arc))
+            .get(local)
+            .map(|slot| (shard_k, local, slot))
             .ok_or(ServiceError::UnknownSession(id))
     }
 
@@ -1891,9 +1994,9 @@ impl SearchEngine {
         f: impl FnOnce(&mut LiveSession) -> Result<T, CoreError>,
         event: impl FnOnce(&T, u32) -> Option<WalEvent>,
     ) -> Result<(usize, Result<T, CoreError>, PolicyKind), ServiceError> {
-        let (shard_k, local, slot_arc) = self.locate(id)?;
+        let (shard_k, local, slot) = self.locate(id)?;
         let shard = &self.shards[shard_k];
-        let mut slot = slot_arc.lock().expect("slot lock poisoned");
+        let mut slot = slot.lock().expect("slot lock poisoned");
         if slot.generation != id.generation {
             return Err(ServiceError::UnknownSession(id));
         }
@@ -1977,10 +2080,10 @@ impl SearchEngine {
         id: SessionId,
         how: Removal,
     ) -> Result<(usize, PolicyKind, telemetry::Tier), ServiceError> {
-        let (shard_k, local, slot_arc) = self.locate(id)?;
+        let (shard_k, local, slot) = self.locate(id)?;
         let shard = &self.shards[shard_k];
         let session = {
-            let mut slot = slot_arc.lock().expect("slot lock poisoned");
+            let mut slot = slot.lock().expect("slot lock poisoned");
             if slot.generation != id.generation || slot.session.is_none() {
                 return Err(ServiceError::UnknownSession(id));
             }
@@ -2026,26 +2129,13 @@ impl SearchEngine {
 /// `release_slot` on every teardown path).
 fn allocate_slot(shard: &Shard) -> u32 {
     shard.live.fetch_add(1, Ordering::Relaxed);
-    if let Some(i) = shard.free.lock().expect("free list poisoned").pop() {
-        return i;
-    }
-    let mut slots = shard.slots.write().expect("slots lock poisoned");
-    let local = u32::try_from(slots.len()).expect("slot count fits u32");
-    slots.push(Arc::new(Mutex::new(Slot {
-        generation: 0,
-        session: None,
-    })));
-    local
-}
-
-fn slot_arc(shard: &Shard, local: u32) -> Arc<Mutex<Slot>> {
-    Arc::clone(&shard.slots.read().expect("slots lock poisoned")[local as usize])
+    shard.slots.allocate()
 }
 
 /// One shard's recovered state, produced off-thread during the parallel
 /// phase of [`SearchEngine::recover_with`].
 struct ShardParts {
-    slots: Vec<Arc<Mutex<Slot>>>,
+    slots: Vec<Slot>,
     free: Vec<u32>,
     idle: Option<IdleList>,
     live: usize,
@@ -2137,18 +2227,18 @@ fn restore_shard(
                 let parked = max_gen
                     .map_or(0, |g| g.wrapping_add(1))
                     .max(rs.floors[local]);
-                parts.slots.push(Arc::new(Mutex::new(Slot {
+                parts.slots.push(Slot {
                     generation: parked,
                     session: None,
-                })));
+                });
                 parts.free.push(local as u32);
             }
             Some(rsess) => match restore_session(plans, &rsess, max_queries, tier) {
                 Ok(session) => {
-                    parts.slots.push(Arc::new(Mutex::new(Slot {
+                    parts.slots.push(Slot {
                         generation: rsess.generation,
                         session: Some(session),
-                    })));
+                    });
                     if let Some(idle) = &mut parts.idle {
                         // Recovered sessions start at touch 0 (the clock
                         // restarts): idle-oldest until touched again.
@@ -2160,10 +2250,10 @@ fn restore_shard(
                 Err(why) => {
                     parts.failed += 1;
                     parts.anomalies.push(format!("slot {local}: {why}"));
-                    parts.slots.push(Arc::new(Mutex::new(Slot {
+                    parts.slots.push(Slot {
                         generation: rsess.generation.wrapping_add(1),
                         session: None,
-                    })));
+                    });
                     parts.free.push(local as u32);
                 }
             },
@@ -2275,7 +2365,7 @@ impl SessionHandle<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::IdleList;
+    use super::{segment_of, IdleList, SlotTable, FIRST_SEGMENT, SEGMENTS};
 
     /// The list's slots head to tail, checking the back links on the way.
     fn order(list: &IdleList) -> Vec<(u32, u64)> {
@@ -2312,5 +2402,39 @@ mod tests {
         assert_eq!(list.oldest(), None);
         list.push_tail(0, 7);
         assert_eq!(order(&list), [(0, 7)]);
+    }
+
+    #[test]
+    fn slot_indices_map_to_doubling_segments() {
+        assert_eq!(FIRST_SEGMENT, 64);
+        assert_eq!(segment_of(0), (0, 0));
+        assert_eq!(segment_of(63), (0, 63));
+        assert_eq!(segment_of(64), (1, 0));
+        assert_eq!(segment_of(191), (1, 127));
+        assert_eq!(segment_of(192), (2, 0));
+        // The last index sits in the last segment, inside its bounds.
+        let (seg, off) = segment_of(u32::MAX);
+        assert_eq!(seg, SEGMENTS - 1);
+        assert!(off < (FIRST_SEGMENT as usize) << seg);
+    }
+
+    #[test]
+    fn slot_table_grows_across_segments_and_reuses_freed_slots() {
+        let table = SlotTable::new();
+        assert!(table.get(0).is_none());
+        for expect in 0..200 {
+            assert_eq!(table.allocate(), expect);
+            assert!(table.get(expect).is_some());
+            assert!(table.get(table.len()).is_none(), "get(len) must be None");
+        }
+        assert_eq!(table.len(), 200);
+        // Three segments (64 + 128 + 256 slots) back 200 slots.
+        assert!(table.segments[..3].iter().all(|s| s.get().is_some()));
+        assert!(table.segments[3..].iter().all(|s| s.get().is_none()));
+        table.lock(150).generation = 7;
+        table.release(150);
+        assert_eq!(table.allocate(), 150, "a released slot is reused first");
+        assert_eq!(table.lock(150).generation, 7);
+        assert_eq!(table.allocate(), 200);
     }
 }

@@ -18,7 +18,7 @@
 //! Snapshots project the cube onto exact (op, tier) and (op, kind)
 //! counts. Reading the clock costs more than the whole compiled-tier
 //! step, so only about one operation in
-//! [`SAMPLE_MEAN_GAP`] per thread is timed: a `thread_local!` countdown
+//! [`SAMPLE_MEAN_GAP`] (64) per thread is timed: a `thread_local!` countdown
 //! (no atomics) draws the gap to the next timed operation uniformly from
 //! `1..=2·SAMPLE_MEAN_GAP − 1` with a fixed-seed xorshift, so a thread's
 //! sequence repeats exactly. The first operation of every thread is
@@ -68,7 +68,9 @@
 //! * A bounded per-shard ring of [`SlowOp`] records for timed operations
 //!   slower than [`crate::EngineConfig::slow_op_ns`] (default 1 ms), drained
 //!   with [`crate::SearchEngine::drain_slow_ops`]. Like the histograms, the
-//!   journal sees only the sampled operations.
+//!   journal sees only the sampled operations: about one op in 64
+//!   ([`SAMPLE_MEAN_GAP`]) per thread, so a rare slow op is caught with
+//!   probability ~1/64 per occurrence.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -88,7 +90,7 @@ pub const DEFAULT_SLOW_OP_NS: u64 = 1_000_000;
 
 /// Mean gap, in operations, between two timed operations on one thread.
 /// Gaps are drawn uniformly from `1..=2·SAMPLE_MEAN_GAP − 1`.
-pub const SAMPLE_MEAN_GAP: u32 = 16;
+pub const SAMPLE_MEAN_GAP: u32 = 64;
 
 /// Fixed xorshift seed of every thread's sampler.
 const SAMPLER_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -986,8 +988,11 @@ mod tests {
     #[test]
     fn sampler_gaps_are_uniform_around_the_mean() {
         // A fresh thread: its first op is timed and its sequence is fixed.
+        // 2 000 gaps: enough to draw both extremes and to pin the mean to
+        // within 1/32 of itself.
+        let ops = 2_000 * SAMPLE_MEAN_GAP as usize;
         let timed: Vec<usize> =
-            std::thread::spawn(|| (0..32_000).filter(|_| sample_next_op()).collect::<Vec<_>>())
+            std::thread::spawn(move || (0..ops).filter(|_| sample_next_op()).collect::<Vec<_>>())
                 .join()
                 .unwrap();
         assert_eq!(timed[0], 0, "the first op of a thread is timed");
@@ -997,7 +1002,7 @@ mod tests {
         assert!(gaps.contains(&1) && gaps.contains(&max_gap));
         let mean = gaps.iter().sum::<usize>() as f64 / gaps.len() as f64;
         assert!(
-            (mean - f64::from(SAMPLE_MEAN_GAP)).abs() < 0.5,
+            (mean - f64::from(SAMPLE_MEAN_GAP)).abs() < f64::from(SAMPLE_MEAN_GAP) / 32.0,
             "mean gap {mean}"
         );
     }

@@ -381,6 +381,88 @@ fn compaction_preserves_retired_slot_generations() {
     }
 }
 
+/// A recovered shard whose slots span three segments of the slot table
+/// (200 slots: 64 + 128 + 8): live sessions in every segment continue
+/// bit-identically, and slots retired before a compaction, in every
+/// segment, keep their generation watermarks, so their stale ids stay dead
+/// and reopening never re-issues one.
+#[test]
+fn recovery_spans_slot_segments_and_keeps_watermarks() {
+    const SESSIONS: usize = 200;
+    // Retired slots at the edges of segments 0, 1 and 2.
+    const RETIRED: [usize; 6] = [5, 63, 64, 191, 192, 199];
+    let dir = scratch_dir("recover-segments");
+    let spec = plan_spec();
+    let dag = spec.dag.clone();
+    let kinds = [PolicyKind::GreedyDag, PolicyKind::TopDown];
+    let job = |i: usize| (kinds[i % 2], NodeId::new((i * 5 + 1) % N));
+
+    let engine = SearchEngine::try_new(EngineConfig {
+        shards: 1,
+        ..durable_config(&dir, FsyncPolicy::Never)
+    })
+    .unwrap();
+    let plan = engine.register_plan(spec.clone()).unwrap();
+    // A fresh 1-shard engine hands out local slots 0, 1, 2, … in order.
+    let mut live = Vec::new();
+    let mut stale = Vec::new();
+    for i in 0..SESSIONS {
+        let (kind, target) = job(i);
+        let id = engine.open_session(plan, kind).unwrap().id();
+        if RETIRED.contains(&i) {
+            stale.push(id);
+            continue;
+        }
+        let mut prefix = Vec::new();
+        if let SessionStep::Ask(q) = engine.next_question(id).unwrap() {
+            let yes = dag.reaches(q, target);
+            prefix.push((q, yes));
+            engine.answer(id, yes).unwrap();
+        }
+        live.push((id, i, prefix));
+    }
+    for (n, &id) in stale.iter().enumerate() {
+        if n % 2 == 0 {
+            drive_to_end(&engine, id, &dag, job(RETIRED[n]).1);
+        } else {
+            engine.cancel(id).unwrap();
+        }
+    }
+    engine.compact().unwrap(); // the watermarks now live only in the snapshot
+    drop(engine); // crash
+
+    let (rec, report) = common::recover(&dir).unwrap();
+    assert_eq!(report.shards, 1);
+    assert_eq!(report.sessions, SESSIONS - RETIRED.len());
+    assert!(report.anomalies.is_empty(), "{:?}", report.anomalies);
+    let fresh: Vec<_> = RETIRED
+        .iter()
+        .map(|&i| rec.open_session(plan, job(i).0).unwrap().id())
+        .collect();
+    for id in &stale {
+        assert!(!fresh.contains(id), "retired id {id:?} re-issued");
+        assert!(matches!(
+            rec.next_question(*id),
+            Err(ServiceError::UnknownSession(_))
+        ));
+    }
+    for id in fresh {
+        rec.cancel(id).unwrap();
+    }
+
+    let control = SearchEngine::new(common::engine_config());
+    let cplan = control.register_plan(spec).unwrap();
+    for (id, i, prefix) in live {
+        let (kind, target) = job(i);
+        let (got_t, got_out) = drive_to_end(&rec, id, &dag, target);
+        let cid = open_and_replay(&control, cplan, kind, &prefix);
+        let (want_t, want_out) = drive_to_end(&control, cid, &dag, target);
+        assert_eq!(got_t, want_t, "session {i} ({kind:?}) diverged");
+        assert_eq!(got_out.price.to_bits(), want_out.price.to_bits());
+    }
+    assert_eq!(rec.live_sessions(), 0);
+}
+
 #[test]
 fn recovery_error_paths_are_typed() {
     // recover_with demands a durability config…

@@ -221,6 +221,154 @@ fn crash_recovery_is_bit_identical_across_shard_counts() {
     }
 }
 
+/// Panics on any error, naming a lost lookup (`UnknownSession` on a live
+/// session) distinctly.
+fn must<T>(r: Result<T, ServiceError>, op: &str) -> T {
+    match r {
+        Ok(v) => v,
+        Err(ServiceError::UnknownSession(id)) => panic!("{op}: live session {id:?} not found"),
+        Err(e) => panic!("{op}: {e}"),
+    }
+}
+
+/// The slot table grows while other threads step. Two opener threads push
+/// a shard across three segment boundaries (past 64 + 128 + 256 = 448
+/// slots) while two stepper threads drive sessions of their own one step
+/// at a time, finishing each and opening a replacement. A lookup racing a
+/// growth must never lose a slot: every transcript matches the inline
+/// reference and no operation fails with `UnknownSession`.
+#[test]
+fn slot_table_grows_under_concurrent_steps() {
+    const SHARDS: usize = 2;
+    const PER_OPENER: usize = 500;
+    const STEPPER_LIVE: usize = 16;
+    let spec = plan_spec();
+    let dag = spec.dag.clone();
+    let kinds = [PolicyKind::GreedyDag, PolicyKind::TopDown];
+    let ctx = SearchContext::new(&spec.dag, &spec.weights).with_costs(&spec.costs);
+    let reference: Vec<Vec<Vec<(NodeId, bool)>>> = kinds
+        .iter()
+        .map(|kind| {
+            (0..N)
+                .map(|t| {
+                    let mut oracle = TranscriptOracle::new(TargetOracle::new(&dag, NodeId::new(t)));
+                    run_session(kind.build().as_mut(), &ctx, &mut oracle, None).unwrap();
+                    oracle.transcript
+                })
+                .collect()
+        })
+        .collect();
+    // Session `i` runs kind `i % 2` toward target `(7i + 3) mod N`.
+    let job = |i: usize| (i % kinds.len(), (i * 7 + 3) % N);
+
+    let engine = SearchEngine::new(EngineConfig {
+        shards: SHARDS,
+        idle_ticks: Some(1 << 40), // link every session, evict none
+        ..common::engine_config()
+    });
+    let plan = engine.register_plan(spec.clone()).unwrap();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    // Openers and steppers start together, so growth overlaps stepping.
+    let start = std::sync::Barrier::new(4);
+    let open = |i: usize| {
+        let (k, _) = job(i);
+        must(engine.open_session(plan, kinds[k]), "open").id()
+    };
+
+    let held: Vec<(usize, aigs_service::SessionId)> = std::thread::scope(|scope| {
+        let steppers: Vec<_> = (0..2)
+            .map(|s| {
+                let (engine, dag, reference, done, start) =
+                    (&engine, &dag, &reference, &done, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    // (job number, id, transcript so far) per live session.
+                    let mut next_job = 1_000_000 * (s + 1);
+                    let mut live: Vec<(usize, _, Vec<(NodeId, bool)>)> = (0..STEPPER_LIVE)
+                        .map(|_| {
+                            next_job += 1;
+                            (next_job, open(next_job), Vec::new())
+                        })
+                        .collect();
+                    let mut finished = 0usize;
+                    while !live.is_empty() {
+                        let stop = done.load(std::sync::atomic::Ordering::Acquire);
+                        let mut i = 0;
+                        while i < live.len() {
+                            let (n, id, transcript) = &mut live[i];
+                            match must(engine.next_question(*id), "next_question") {
+                                SessionStep::Ask(q) => {
+                                    let yes = dag.reaches(q, NodeId::new(job(*n).1));
+                                    transcript.push((q, yes));
+                                    must(engine.answer(*id, yes), "answer");
+                                    i += 1;
+                                }
+                                SessionStep::Resolved(_) => {
+                                    must(engine.finish(*id), "finish");
+                                    let (k, t) = job(*n);
+                                    assert_eq!(*transcript, reference[k][t], "{:?}", kinds[k]);
+                                    finished += 1;
+                                    if stop {
+                                        live.swap_remove(i);
+                                    } else {
+                                        next_job += 1;
+                                        live[i] = (next_job, open(next_job), Vec::new());
+                                        i += 1;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    finished
+                })
+            })
+            .collect();
+        let openers: Vec<_> = (0..2)
+            .map(|o| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    (o * PER_OPENER..(o + 1) * PER_OPENER)
+                        .map(|i| (i, open(i)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        // Join everything before asserting: a failed assertion must not
+        // leave the steppers waiting for `done`.
+        let opened: Vec<_> = openers.into_iter().map(|h| h.join()).collect();
+        let fullest = engine.stats_per_shard().iter().map(|s| s.live).max();
+        done.store(true, std::sync::atomic::Ordering::Release);
+        for h in steppers {
+            assert!(h.join().unwrap() >= STEPPER_LIVE);
+        }
+        let held: Vec<_> = opened.into_iter().flat_map(|r| r.unwrap()).collect();
+        let fullest = fullest.unwrap();
+        assert!(
+            fullest > 448,
+            "no shard crossed three segment boundaries: {fullest} live"
+        );
+        held
+    });
+
+    // Drive the held sessions, which span every segment, from two threads.
+    std::thread::scope(|scope| {
+        for half in held.chunks(held.len() / 2) {
+            let (engine, dag, reference) = (&engine, &dag, &reference);
+            scope.spawn(move || {
+                for &(i, id) in half {
+                    let (k, t) = job(i);
+                    let (transcript, out) = drive_to_end(engine, id, dag, NodeId::new(t));
+                    assert_eq!(transcript, reference[k][t], "{:?}", kinds[k]);
+                    assert_eq!(out.target, NodeId::new(t));
+                }
+            });
+        }
+    });
+    assert_eq!(engine.live_sessions(), 0);
+    assert_eq!(engine.stats().errored, 0);
+}
+
 /// Admission control is global: a 4-shard engine with `max_sessions = 6`
 /// refuses the 7th open with an exact live count, and idle eviction off
 /// the per-shard idle lists frees the least-recently-touched sessions no
