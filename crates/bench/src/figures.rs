@@ -286,7 +286,7 @@ mod tests {
         // than the naive scan. The margin is kept loose because unit tests
         // run with CPU contention from parallel tests; the real separation
         // (3 orders of magnitude in the paper, similar here in release
-        // mode) is demonstrated by the harness and the criterion benches.
+        // mode) is what `experiments fig6` prints.
         let fast: f64 = series[0].points.iter().map(|p| p.1).sum();
         let naive: f64 = series[1].points.iter().map(|p| p.1).sum();
         assert!(

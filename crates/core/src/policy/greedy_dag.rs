@@ -192,6 +192,10 @@ pub struct GreedyDagPolicy {
     /// chain. Cleared by frame restores (wholesale content recovery),
     /// step `begin` (snapshotted into the payload), and empty journals.
     fr_tainted: bool,
+    /// Pruned-BFS runs so far (`rebuild_frontier` calls, in either mode):
+    /// the exact work counter the re-root drill tests pin.
+    #[cfg(test)]
+    rebuilds: usize,
 }
 
 impl GreedyDagPolicy {
@@ -237,6 +241,8 @@ impl GreedyDagPolicy {
             reach: ReachScratch::new(0),
             pending_doom: None,
             fr_tainted: false,
+            #[cfg(test)]
+            rebuilds: 0,
         }
     }
 
@@ -510,6 +516,10 @@ impl GreedyDagPolicy {
         count_mode: bool,
         total: u64,
     ) -> NodeId {
+        #[cfg(test)]
+        {
+            self.rebuilds += 1;
+        }
         let r = self.root;
         let record = !self.reference;
         if record {
@@ -1219,12 +1229,66 @@ mod drill_probe {
         (g, w)
     }
 
+    /// `levels` ranks of `width` nodes under the root, each rank fully
+    /// connected to the next, keeping `ratio` of the remaining mass below
+    /// every rank: a dense DAG whose heavy cone spans several ranks.
+    fn yes_lattice(levels: usize, width: usize, ratio: f64) -> (aigs_graph::Dag, NodeWeights) {
+        let n = 1 + levels * width;
+        let at = |lvl: usize, i: usize| {
+            if lvl == 0 {
+                0
+            } else {
+                (1 + (lvl - 1) * width + i) as u32
+            }
+        };
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut masses = vec![0.0f64; n];
+        let mut level_mass = 1.0f64;
+        for lvl in 1..=levels {
+            for i in 0..width {
+                if lvl == 1 {
+                    edges.push((0, at(1, i)));
+                } else {
+                    for j in 0..width {
+                        edges.push((at(lvl - 1, j), at(lvl, i)));
+                    }
+                }
+            }
+            let share = if lvl == levels {
+                level_mass
+            } else {
+                (1.0 - ratio) * level_mass
+            };
+            for i in 0..width {
+                masses[at(lvl, i) as usize] = share / width as f64;
+            }
+            level_mass *= ratio;
+        }
+        let g = aigs_graph::dag_from_edges(n, &edges).unwrap();
+        let w = NodeWeights::from_masses(masses).unwrap();
+        (g, w)
+    }
+
+    /// Resets `p`, then runs one drill round per entry of `yes_at`: a
+    /// `select`, whose pick is recorded, then a *yes* at that entry.
+    fn drill(p: &mut GreedyDagPolicy, ctx: &SearchContext<'_>, yes_at: &[NodeId]) -> Vec<NodeId> {
+        p.reset(ctx);
+        yes_at
+            .iter()
+            .map(|&q| {
+                let pick = p.select(ctx);
+                p.observe(ctx, q, true);
+                pick
+            })
+            .collect()
+    }
+
     /// The drill-down regression guard: answering *yes* at the root's heavy
     /// chain child must keep the frontier live through the re-root walk on
     /// every round — no backend needed, because the hierarchy is a tree.
-    /// If re-root reuse silently stops firing (e.g. the heavy child loses
-    /// its cone tag), the `yes_chain` bench quietly degrades into measuring
-    /// recording rebuilds; this test pins the mechanism itself.
+    /// Only the first round may run the pruned BFS: a rebuild also leaves
+    /// a valid frontier, so the state asserts alone would still pass if
+    /// re-root reuse silently stopped firing; the rebuild count would not.
     #[test]
     fn drill_uses_reroot() {
         let (g, w) = yes_chain(16, 8, 0.8);
@@ -1243,5 +1307,33 @@ mod drill_probe {
             );
             p.observe(&ctx, NodeId::new(lvl), true);
         }
+        assert_eq!(p.rebuilds, 1, "re-root reuse stopped firing on the tree");
+    }
+
+    /// The same guard on a dense DAG, through the closure backend's
+    /// reach-mask walk: a *yes* at the first node of each rank re-roots
+    /// one rank down with a multi-rank cone surviving. The incremental
+    /// policy must pick what the from-scratch oracle picks while running
+    /// the pruned BFS once, where the oracle runs it every round.
+    #[test]
+    fn lattice_drill_uses_reroot() {
+        let (levels, width) = (24, 16);
+        let (g, w) = yes_lattice(levels, width, 0.9);
+        let reach = aigs_graph::ReachIndex::closure_for(&g);
+        let ctx = SearchContext::new(&g, &w)
+            .with_reach(&reach)
+            .with_cache_token(fresh_cache_token());
+        let yes_at: Vec<NodeId> = (1..levels)
+            .map(|lvl| NodeId::new(1 + (lvl - 1) * width))
+            .collect();
+        let mut fast = GreedyDagPolicy::new();
+        let mut scratch = GreedyDagPolicy::reference();
+        assert!(!g.is_tree(), "the lattice exercises the non-tree walk");
+        assert_eq!(
+            drill(&mut fast, &ctx, &yes_at),
+            drill(&mut scratch, &ctx, &yes_at)
+        );
+        assert_eq!(scratch.rebuilds, yes_at.len());
+        assert_eq!(fast.rebuilds, 1, "lattice re-root reuse stopped firing");
     }
 }

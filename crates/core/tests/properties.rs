@@ -1,7 +1,8 @@
 //! Property tests for the search policies: correctness on arbitrary
 //! hierarchies, equivalence of the fast and naive greedy instantiations
 //! (Theorem 5), and the paper's approximation guarantees checked against
-//! the exact DP optimum (Theorems 1 and 2).
+//! the exact DP optimum (Theorems 1, 2 and 4), from both sides: no policy
+//! beats the optimum, and none exceeds its proven factor of it.
 
 use aigs_core::policy::{
     optimal_expected_cost, CostSensitivePolicy, GreedyDagPolicy, GreedyNaivePolicy,
@@ -10,7 +11,7 @@ use aigs_core::policy::{
 use aigs_core::{
     evaluate_exhaustive, fresh_cache_token, DecisionTreeBuilder, Policy, QueryCosts, SearchContext,
 };
-use aigs_graph::NodeId;
+use aigs_graph::{Dag, NodeId};
 use aigs_testutil::{backends, dag_from_seed, generic_weights, tree_from_seed};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -190,8 +191,11 @@ proptest! {
         let w = generic_weights(n, seed);
         let ctx = SearchContext::new(&g, &w);
         let opt = optimal_expected_cost(&ctx).unwrap();
+        // n ≥ 2: every target takes at least one unit-price query.
+        prop_assert!(opt >= 1.0 - 1e-9, "optimal {opt} below one query");
         let mut greedy = GreedyTreePolicy::new();
         let cost = evaluate_exhaustive(&mut greedy, &ctx).unwrap().expected_cost;
+        prop_assert!(cost >= opt - 1e-9, "greedy {cost} beats optimal {opt}");
         prop_assert!(
             cost <= golden_ratio() * opt + 1e-9,
             "greedy {cost} vs optimal {opt} exceeds (1+√5)/2"
@@ -211,11 +215,13 @@ proptest! {
         let w = generic_weights(nn, seed);
         let ctx = SearchContext::new(&g, &w);
         let opt = optimal_expected_cost(&ctx).unwrap();
+        prop_assert!(opt >= 1.0 - 1e-9, "optimal {opt} below one query");
         let mut greedy = GreedyDagPolicy::new();
         let cost = evaluate_exhaustive(&mut greedy, &ctx).unwrap().expected_cost;
+        prop_assert!(cost >= opt - 1e-9, "rounded greedy {cost} beats optimal {opt}");
         let bound = 2.0 * (1.0 + 3.0 * (nn as f64).ln());
         prop_assert!(
-            cost <= bound * opt.max(1.0) + 1e-9,
+            cost <= bound * opt + 1e-9,
             "rounded greedy {cost} vs optimal {opt}: bound {bound} violated"
         );
     }
@@ -488,30 +494,54 @@ proptest! {
         }
     }
 
-    /// CAIGS sanity: with heterogeneous prices the cost-sensitive greedy's
-    /// expected price never exceeds the plain greedy's by more than the
-    /// bound factor, and both identify all targets.
+    /// Theorem 4 on trees: with heterogeneous prices the cost-sensitive
+    /// greedy's expected price lies between the exact price optimum and
+    /// 2(1 + 3 ln n) times it, and every target is identified.
     #[test]
     fn cost_sensitive_greedy_prices(n in 2usize..14, seed in 0u64..10_000) {
         let g = tree_from_seed(n, seed);
-        let w = generic_weights(n, seed);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xc057);
-        let prices: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..5.0)).collect();
-        let costs = QueryCosts::PerNode(prices);
-        let ctx = SearchContext::new(&g, &w).with_costs(&costs);
-
-        let mut cs = CostSensitivePolicy::new();
-        let r = evaluate_exhaustive(&mut cs, &ctx).unwrap();
-        prop_assert_eq!(r.targets, n);
-        prop_assert!(r.expected_price > 0.0 || n == 1);
-
-        // Theorem 4's bound, checked against the exact price optimum.
-        let opt = optimal_expected_cost(&ctx).unwrap();
-        let bound = 2.0 * (1.0 + 3.0 * (n as f64).ln());
-        prop_assert!(
-            r.expected_price <= bound * opt.max(0.5) + 1e-9,
-            "cost-sensitive {0} vs optimal {opt}",
-            r.expected_price
-        );
+        check_cost_sensitive_bound(&g, seed)?;
     }
+
+    /// Theorem 4 on DAGs, same bounds.
+    #[test]
+    fn cost_sensitive_greedy_prices_on_dags(
+        n in 2usize..14,
+        frac in 0.05f64..0.4,
+        seed in 0u64..10_000,
+    ) {
+        let g = dag_from_seed(n, frac, seed);
+        check_cost_sensitive_bound(&g, seed)?;
+    }
+}
+
+/// Theorem 4's two-sided bound for `CostSensitivePolicy` on `g`, with
+/// generic weights and per-node prices drawn from [0.5, 5).
+fn check_cost_sensitive_bound(g: &Dag, seed: u64) -> Result<(), TestCaseError> {
+    let n = g.node_count();
+    let w = generic_weights(n, seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xc057);
+    let prices: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..5.0)).collect();
+    let costs = QueryCosts::PerNode(prices);
+    let ctx = SearchContext::new(g, &w).with_costs(&costs);
+
+    let mut cs = CostSensitivePolicy::new();
+    let r = evaluate_exhaustive(&mut cs, &ctx).unwrap();
+    prop_assert_eq!(r.targets, n);
+
+    let opt = optimal_expected_cost(&ctx).unwrap();
+    // n ≥ 2: every target takes at least one query, priced at least 0.5.
+    prop_assert!(opt >= 0.5 - 1e-9, "optimal {opt} below the cheapest query");
+    prop_assert!(
+        r.expected_price >= opt - 1e-9,
+        "cost-sensitive {0} beats optimal {opt}",
+        r.expected_price
+    );
+    let bound = 2.0 * (1.0 + 3.0 * (n as f64).ln());
+    prop_assert!(
+        r.expected_price <= bound * opt + 1e-9,
+        "cost-sensitive {0} vs optimal {opt}: bound {bound} violated",
+        r.expected_price
+    );
+    Ok(())
 }

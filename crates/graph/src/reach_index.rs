@@ -767,6 +767,20 @@ mod tests {
         assert!(ReachIndex::auto(&g).as_closure().is_some());
         assert_eq!(ReachIndex::Bfs.memory_bytes(), 0);
         assert!(ReachIndex::closure_for(&g).memory_bytes() > 0);
+
+        // One node past the threshold, `auto` switches to the interval
+        // tier, whose labels take a small fraction of the closure's
+        // quadratic bit matrix.
+        let n = AUTO_CLOSURE_MAX_NODES + 1;
+        let big = random_dag(&DagConfig::bushy(n, 0.1), &mut ChaCha8Rng::seed_from_u64(9));
+        let auto = ReachIndex::auto(&big);
+        assert_eq!(auto.backend_name(), "interval");
+        let closure = ReachIndex::closure_for(&big).memory_bytes();
+        assert!(
+            auto.memory_bytes() * 10 < closure,
+            "interval {} B vs closure {closure} B",
+            auto.memory_bytes()
+        );
     }
 
     #[test]
