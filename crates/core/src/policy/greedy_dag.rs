@@ -19,16 +19,11 @@
 //! predicate — every alive path from `r` to a heavy node runs through heavy
 //! nodes — which is what makes incremental maintenance exact:
 //!
-//! * a *no* answer dooms `alive ∩ G_q`, but only the **root repair** is
-//!   applied eagerly (the root is always a full ancestor, so its delta is
-//!   exactly `q`'s own alive aggregates — O(1), and it keeps `resolved`
-//!   exact); the doomed-subgraph walk, the remaining ancestor repairs via
-//!   [`aigs_graph::ReachIndex::doomed_contributions`] and the alive-bit
-//!   clears are **deferred** to the next read (`select` or the following
-//!   `observe`), landing in the same journal step. An answer that is
-//!   undone before it is ever read — the decision-tree builder's
-//!   backtracking, exhaustive evaluation, speculative probes — therefore
-//!   rolls back in O(1) instead of O(|G_q|);
+//! * a *no* answer dooms `alive ∩ G_q`: `observe` walks the doomed
+//!   subgraph at once, repairs every alive ancestor (the root included)
+//!   via [`aigs_graph::ReachIndex::doomed_contributions`], clears the
+//!   alive bits word-granularly, and runs the frontier invalidation
+//!   checks below;
 //! * a shrinking total promotes boundary nodes into the cone; `select`
 //!   re-scans the flat frontier lists, promoting and expanding where
 //!   `2·w̃ > w̃(r)` now holds (each promotion scans its children once);
@@ -41,26 +36,21 @@
 //!   `G_q` entries with a parent in the new cone, and the ordinary
 //!   promotion cascade discovers everything the shrunken total newly
 //!   uncovers — bit-identical to the pruned BFS from `q`, without
-//!   re-walking the cone's edges. Without a stored row the mask itself
-//!   would cost a DFS over `G_q`, so the rebuild path is kept;
+//!   re-walking the cone's edges. Without a stored row (trees and DAGs
+//!   alike) the mask itself would cost a DFS over `G_q`, so the policy
+//!   rebuilds from scratch instead;
 //! * the rare non-local events — a cone member falling light (demotion) or
 //!   the `count_mode` fallback flipping because the alive rounded weight
 //!   hit zero — conservatively invalidate the frontier; the next `select`
 //!   rebuilds it from scratch, which is always exact.
 //!
-//! Rollback restores the frontier bit-exactly: every `observe` snapshots
-//! the scalar frontier state in its journal payload, and the first
-//! structural mutation under a step lazily spills a **frontier frame**
-//! (the live cone + boundary) via [`StepJournal::log_frame`], so
-//! `unobserve` and a cache-token `reset` land on the exact pre-step
-//! frontier — `reset` typically restores the *base* frontier of the first
-//! round, letting a pooled policy skip the cold root BFS entirely. A step
-//! that begins on an already-invalid frontier marks its frame **doomed**
-//! ([`StepJournal::mark_frame_doomed`]): undoing it lands on state the
-//! next `select` rebuilds from scratch regardless of list content, so the
-//! spill is skipped outright (the lists are left as consistent garbage —
-//! every tagged node stays list-member, which is all later wholesale
-//! clears rely on).
+//! Rollback restores the aggregates, the alive set and the root from the
+//! journal and **invalidates** the frontier: the next `select` rebuilds
+//! it. The one frontier worth keeping warm is the *base* frontier, the
+//! first round's: a rebuild that runs with an empty journal copies the
+//! cone and boundary into a base snapshot, and a pop that empties the
+//! journal reinstates it. A cache-token `reset` therefore lands on a
+//! warm base frontier, letting a pooled policy skip the cold root BFS.
 
 use std::collections::VecDeque;
 
@@ -76,41 +66,16 @@ const FR_BOUNDARY: u8 = 1;
 /// `fr_state` tag: heavy cone member.
 const FR_CONE: u8 = 2;
 
-/// Per-step scalar payload: the step's pre-observe root and frontier
-/// scalars, plus the lazily-filled frame descriptor.
-#[derive(Debug, Clone, Copy)]
-struct DagStep {
-    prev_root: NodeId,
-    fr_valid: bool,
-    fr_root: NodeId,
-    fr_count_mode: bool,
-    /// Set when a frontier frame was spilled for this step.
-    frame_spilled: bool,
-    /// Set when this step mutated the frontier *without* spilling a frame
-    /// (doomed rebuilds, re-root steps, tainted lists): undo then
-    /// invalidates the frontier (the next `select` rebuilds, bit-exactly)
-    /// instead of restoring content.
-    frame_lossy: bool,
-    /// Snapshot of the policy's `fr_tainted` flag at `begin` — restored on
-    /// pop so the undo chain knows whether the list content at this step's
-    /// begin still matched the *previous* step's begin.
-    tainted: bool,
-    /// Split point inside the spilled frame: entries `[..cone_len]` are the
-    /// live cone, the rest the live boundary.
-    frame_cone_len: u32,
-}
-
 /// Efficient rounded-greedy policy for DAGs (also correct on trees).
 ///
 /// Rollback state lives in a [`StepJournal`]: `observe` records only the
 /// `(index, old value)` deltas it writes (one aggregated repair per alive
 /// ancestor of the doomed subgraph, word-granular alive-bitset clears) plus
-/// the frontier scalars; frontier *structure* is captured lazily as a
-/// journal frame before a step's first structural mutation. `unobserve`
-/// replays them — O(Δ) per query, no allocation on the hot path. Under a
+/// the previous root. `unobserve` replays them — O(Δ) per query, no
+/// allocation on the hot path — and invalidates the frontier. Under a
 /// stable [`SearchContext::cache_token`], `reset` unwinds the previous
 /// session's journal instead of recomputing (or cloning) the O(n·m) base
-/// state, and lands on a warm base frontier.
+/// state, and lands on the warm base frontier snapshot.
 #[derive(Debug, Clone)]
 pub struct GreedyDagPolicy {
     /// Rounded node weights `w(v)` (Eq. 1).
@@ -126,7 +91,8 @@ pub struct GreedyDagPolicy {
     /// Alive set as a bitset: deletions journal whole 64-bit words.
     alive: NodeBitSet,
     root: NodeId,
-    journal: StepJournal<DagStep>,
+    /// One step per `observe`; the payload is the step's previous root.
+    journal: StepJournal<NodeId>,
     /// Token the current base state (`w`/`wt`/`cnt`) was derived under.
     base_token: u64,
     /// From-scratch differential oracle: when set, `select` re-runs the
@@ -143,20 +109,28 @@ pub struct GreedyDagPolicy {
     /// first.
     fr_state: Vec<u8>,
     /// Heavy cone members with their cached scores, in discovery order.
-    /// May contain dead entries (skipped by scans, dropped at the next
-    /// rebuild). The inline score is the member's `w̃`/`ñ` under
-    /// `fr_count_mode`, refreshed lazily (see `fr_rescore`) — it turns the
-    /// steady-state scan into a sequential pass over `(id, score)` pairs
-    /// instead of a random `wt`/`cnt` gather per entry.
+    /// May contain dead entries until the next scan drops them. The inline
+    /// score is the member's `w̃`/`ñ` under `fr_count_mode`, refreshed
+    /// lazily (see `fr_rescore`) — it turns the steady-state scan into a
+    /// sequential pass over `(id, score)` pairs instead of a random
+    /// `wt`/`cnt` gather per entry.
     cone: Vec<(NodeId, u64)>,
     /// Boundary candidates with their cached scores, in discovery order.
     /// May contain dead or promoted entries (skipped via
     /// `alive`/`fr_state`); same score-caching contract as `cone`.
     boundary: Vec<(NodeId, u64)>,
-    /// Set whenever cached list scores may have drifted from `wt`/`cnt` —
-    /// after a flushed *no* repair and after every journal pop. The next
-    /// incremental scan refreshes every kept entry (exactly the loads the
-    /// scan performed unconditionally before caching) and clears this.
+    /// The base frontier (empty journal), copied from `cone`/`boundary` by
+    /// the rebuild that derived it and reinstated by the pop that empties
+    /// the journal.
+    base_cone: Vec<(NodeId, u64)>,
+    base_boundary: Vec<(NodeId, u64)>,
+    /// The base snapshot's `count_mode`; `None` while no snapshot is held
+    /// (a full reset clears it).
+    base_mode: Option<bool>,
+    /// Set whenever cached list scores may have drifted from `wt`/`cnt`,
+    /// i.e. after a *no* repair. The next incremental scan refreshes every
+    /// kept entry (exactly the loads the scan performed unconditionally
+    /// before caching) and clears this.
     fr_rescore: bool,
 
     // Scratch (never journalled; semantically transparent to rollback).
@@ -169,31 +143,13 @@ pub struct GreedyDagPolicy {
     /// Boundary children met by the current re-root walk, pending
     /// re-qualification against the surviving cone (reused).
     requal: Vec<NodeId>,
-    /// Cached `ctx.dag.is_tree()` (O(n) to compute, so probed once per
-    /// full reset): on trees the re-root walk needs no reach mask and no
-    /// re-qualification, so re-root reuse runs under every backend.
-    tree: bool,
     /// Epoch set over *word* indices: which alive words were journalled
     /// this step.
     word_mark: VisitedSet,
     /// Shared-reach scratch for base aggregation and doomed repairs.
     reach: ReachScratch,
-    /// A *no* answer whose doomed-subgraph materialisation is still
-    /// deferred. Invariant: `None` at every step boundary — `observe` and
-    /// `select` flush it first, `unwind_one` clears it (the owning step's
-    /// journal entries undo the eager root repair).
-    pending_doom: Option<NodeId>,
-    /// True when the live frontier lists no longer match the content the
-    /// journal's top step began with *and* no spilled frame can recover it
-    /// (a lossy step was popped, or a lossy mutation ran). While set,
-    /// `frame_guard` must not spill (it would capture the wrong content)
-    /// and a frameless pop must not revalidate. Orthogonal to `fr_valid`:
-    /// a rebuild makes the live lists exact without mending the undo
-    /// chain. Cleared by frame restores (wholesale content recovery),
-    /// step `begin` (snapshotted into the payload), and empty journals.
-    fr_tainted: bool,
     /// Pruned-BFS runs so far (`rebuild_frontier` calls, in either mode):
-    /// the exact work counter the re-root drill tests pin.
+    /// the exact work counter the re-root drill and warm-reset tests pin.
     #[cfg(test)]
     rebuilds: usize,
 }
@@ -230,17 +186,17 @@ impl GreedyDagPolicy {
             fr_state: Vec::new(),
             cone: Vec::new(),
             boundary: Vec::new(),
+            base_cone: Vec::new(),
+            base_boundary: Vec::new(),
+            base_mode: None,
             fr_rescore: false,
             visited: VisitedSet::new(0),
             queue: VecDeque::new(),
             deleted: Vec::new(),
             touched_cone: Vec::new(),
             requal: Vec::new(),
-            tree: false,
             word_mark: VisitedSet::new(0),
             reach: ReachScratch::new(0),
-            pending_doom: None,
-            fr_tainted: false,
             #[cfg(test)]
             rebuilds: 0,
         }
@@ -256,10 +212,6 @@ impl GreedyDagPolicy {
     /// differential harness; not part of the stable API.
     #[doc(hidden)]
     pub fn frontier_snapshot(&self) -> (Vec<u32>, Vec<u32>) {
-        debug_assert!(
-            self.pending_doom.is_none(),
-            "flush_pending before snapshotting"
-        );
         if !self.fr_valid {
             return (Vec::new(), Vec::new());
         }
@@ -281,14 +233,9 @@ impl GreedyDagPolicy {
     /// The alive-masked frontier aggregates as `(alive ids, w̃, ñ)`; dead
     /// nodes report zero (their stored entries are deliberately stale).
     /// Test-facing introspection: the journal-rollback fuzz compares these
-    /// bit-for-bit against a cold `compute_base` rebuild. Callers holding a
-    /// deferred *no* answer must [`GreedyDagPolicy::flush_pending`] first.
+    /// bit-for-bit against a cold `compute_base` rebuild.
     #[doc(hidden)]
     pub fn aggregates_snapshot(&self) -> (Vec<u32>, Vec<u64>, Vec<u32>) {
-        debug_assert!(
-            self.pending_doom.is_none(),
-            "flush_pending before snapshotting"
-        );
         let n = self.wt.len();
         let mut ids = Vec::new();
         let mut wt = vec![0u64; n];
@@ -307,20 +254,6 @@ impl GreedyDagPolicy {
     #[doc(hidden)]
     pub fn debug_root(&self) -> NodeId {
         self.root
-    }
-
-    /// Forces the materialisation of a deferred *no* answer (if any), so
-    /// array state can be inspected without going through `select`.
-    /// Test-facing hook; the public API flushes on its own.
-    #[doc(hidden)]
-    pub fn flush_pending(&mut self, ctx: &SearchContext<'_>) {
-        self.flush_doom(ctx);
-    }
-
-    /// Whether a *no* answer is still deferred. Test-facing introspection.
-    #[doc(hidden)]
-    pub fn doom_pending(&self) -> bool {
-        self.pending_doom.is_some()
     }
 
     /// Whether a frontier for the current root and mode is live (i.e. the
@@ -343,83 +276,47 @@ impl GreedyDagPolicy {
         }
     }
 
-    /// Replays one journal step; returns `false` on an empty journal.
+    /// Replays one journal step; returns `false` on an empty journal. The
+    /// frontier is invalidated, except that the pop which empties the
+    /// journal reinstates the base snapshot.
     fn unwind_one(&mut self) -> bool {
         let wt = &mut self.wt;
         let cnt = &mut self.cnt;
         let alive = &mut self.alive;
-        let fr_state = &mut self.fr_state;
-        let cone = &mut self.cone;
-        let boundary = &mut self.boundary;
-        match self.journal.pop_full(
+        let Some(prev_root) = self.journal.pop_with(
             |slot, old| wt[slot] = old,
             |slot, old| cnt[slot] = old,
             |_| {},
             |word, old| alive.restore_word(word, old),
             |_| {},
-            |step: &DagStep, frame| {
-                if step.frame_spilled {
-                    // Wholesale frontier restore: clear the tags of every
-                    // current entry, then rebuild both lists (and tags)
-                    // from the frame. Dead-but-tagged entries are restored
-                    // too — their tags were live when the frame was taken.
-                    // Entries are encoded as (id, score_lo, score_hi)
-                    // triples; the restored cached scores were exact at the
-                    // step's begin, and the caller re-arms `fr_rescore`
-                    // anyway because earlier pops may restore weights.
-                    for (x, _) in cone.iter().chain(boundary.iter()) {
-                        fr_state[x.index()] = FR_OUT;
-                    }
-                    cone.clear();
-                    boundary.clear();
-                    let split = step.frame_cone_len as usize * 3;
-                    for ch in frame[..split].chunks_exact(3) {
-                        fr_state[ch[0] as usize] = FR_CONE;
-                        cone.push((NodeId(ch[0]), ch[1] as u64 | ((ch[2] as u64) << 32)));
-                    }
-                    for ch in frame[split..].chunks_exact(3) {
-                        fr_state[ch[0] as usize] = FR_BOUNDARY;
-                        boundary.push((NodeId(ch[0]), ch[1] as u64 | ((ch[2] as u64) << 32)));
-                    }
-                }
-            },
-        ) {
-            Some(step) => {
-                // A still-deferred doom belongs to the step being popped:
-                // its only applied effect is the eager root repair, which
-                // the entry logs above just reverted — drop the marker.
-                self.pending_doom = None;
-                // Any pop may restore `wt`/`cnt` of list members; cached
-                // scores refresh at the next scan.
-                self.fr_rescore = true;
-                self.root = step.prev_root;
-                // Undo-chain induction: a restored frame recovers this
-                // step's begin content wholesale (current garbage is
-                // irrelevant); a lossy step leaves unrecoverable content;
-                // a frameless step left the content alone, so the current
-                // taint status carries through.
-                if step.frame_spilled {
-                    self.fr_valid = step.fr_valid;
-                    self.fr_tainted = step.tainted;
-                } else if step.frame_lossy {
-                    self.fr_valid = false;
-                    self.fr_tainted = true;
-                } else {
-                    self.fr_valid = step.fr_valid && !self.fr_tainted;
-                    self.fr_tainted = self.fr_tainted || step.tainted;
-                }
-                if self.journal.is_empty() {
-                    // No steps left: the live content is the session base
-                    // (exact iff `fr_valid`), so there is no divergence
-                    // left to track.
-                    self.fr_tainted = false;
-                }
-                self.fr_root = step.fr_root;
-                self.fr_count_mode = step.fr_count_mode;
-                true
-            }
-            None => false,
+        ) else {
+            return false;
+        };
+        self.root = prev_root;
+        self.fr_valid = false;
+        let Some(mode) = self.base_mode.filter(|_| self.journal.is_empty()) else {
+            return true;
+        };
+        // Back at the base state: swap the live lists for the base snapshot.
+        // Every tagged node is a list entry, so clearing the tags of the
+        // current entries clears them all. The snapshot's cached scores
+        // were taken at this very state, so they are exact.
+        for (x, _) in self.cone.iter().chain(self.boundary.iter()) {
+            self.fr_state[x.index()] = FR_OUT;
         }
+        self.cone.clone_from(&self.base_cone);
+        self.boundary.clone_from(&self.base_boundary);
+        for (x, _) in &self.cone {
+            self.fr_state[x.index()] = FR_CONE;
+        }
+        for (x, _) in &self.boundary {
+            self.fr_state[x.index()] = FR_BOUNDARY;
+        }
+        self.fr_valid = true;
+        self.fr_root = prev_root;
+        self.fr_count_mode = mode;
+        self.fr_rescore = false;
+        true
     }
 
     /// Initial `w̃` / `ñ`: the per-node descendant aggregation the paper
@@ -449,67 +346,11 @@ impl GreedyDagPolicy {
         }
     }
 
-    /// Spills the live frontier into the step on top of the journal, once
-    /// per step, immediately before its first structural mutation. A step
-    /// that never mutates the frontier stores nothing; with an empty
-    /// journal there is nothing to undo to, so nothing is spilled either;
-    /// and a step whose frame is marked doomed (it began on an invalid
-    /// frontier, so its undo lands on a rebuild-pending state) skips the
-    /// spill outright.
-    fn frame_guard(&mut self) {
-        if self.journal.is_empty() || self.journal.frame_pending() {
-            return;
-        }
-        let doomed = self.journal.frame_doomed();
-        let root = self.root;
-        let tainted = self.fr_tainted;
-        let step = self
-            .journal
-            .last_payload_mut()
-            .expect("journal non-empty: a step is on top");
-        if step.frame_lossy {
-            return;
-        }
-        // Mutations with no recoverable frame go lossy: doomed steps (their
-        // undo lands on a rebuild-pending state anyway), tainted lists (a
-        // spill would capture content that is not this step's begin state),
-        // and re-root steps — the latter is the deliberate trade: a deep
-        // yes-chain pays zero frame traffic (undoing past a re-root costs
-        // one rebuild instead), which is what lets the incremental path
-        // beat the from-scratch oracle on re-root-heavy sessions.
-        if doomed || tainted || step.prev_root != root {
-            step.frame_lossy = true;
-            self.fr_tainted = true;
-            return;
-        }
-        let fr_state = &self.fr_state;
-        let enc = |&(v, s): &(NodeId, u64)| [v.0, s as u32, (s >> 32) as u32];
-        let cone_live = self
-            .cone
-            .iter()
-            .filter(|(x, _)| fr_state[x.index()] == FR_CONE);
-        let boundary_live = self
-            .boundary
-            .iter()
-            .filter(|(x, _)| fr_state[x.index()] == FR_BOUNDARY);
-        let cone_len = cone_live.clone().count();
-        if self
-            .journal
-            .log_frame(cone_live.flat_map(enc).chain(boundary_live.flat_map(enc)))
-        {
-            let step = self
-                .journal
-                .last_payload_mut()
-                .expect("journal non-empty: a step is on top");
-            step.frame_spilled = true;
-            step.frame_cone_len = cone_len as u32;
-        }
-    }
-
     /// From-scratch frontier derivation: the pruned BFS of Alg. 6
     /// (lines 4–11), which doubles as the reference `select`. In
     /// incremental mode it additionally records the cone and boundary it
-    /// discovers.
+    /// discovers, and snapshots them as the base frontier when the journal
+    /// is empty.
     fn rebuild_frontier(
         &mut self,
         ctx: &SearchContext<'_>,
@@ -523,7 +364,6 @@ impl GreedyDagPolicy {
         let r = self.root;
         let record = !self.reference;
         if record {
-            self.frame_guard();
             for (x, _) in self.cone.iter().chain(self.boundary.iter()) {
                 self.fr_state[x.index()] = FR_OUT;
             }
@@ -568,6 +408,11 @@ impl GreedyDagPolicy {
             self.fr_root = r;
             self.fr_count_mode = count_mode;
             self.fr_rescore = false;
+            if self.journal.is_empty() {
+                self.base_cone.clone_from(&self.cone);
+                self.base_boundary.clone_from(&self.boundary);
+                self.base_mode = Some(count_mode);
+            }
         }
         best.expect("unresolved root has an alive child").1
     }
@@ -585,15 +430,9 @@ impl GreedyDagPolicy {
     /// *consistent garbage*: every reader is tag-checked).
     ///
     /// Returns `false` (caller rebuilds) when the frontier is invalid, the
-    /// new root was not a cone member, or — on non-tree hierarchies — the
-    /// reach backend has no materialised row (without one the mask itself
-    /// would cost a DFS over `G_root` — more than the rebuild it replaces).
-    /// On **trees** no mask is needed at all: a dropped node's children
-    /// reach the root only through their unique (dropped) parent, so every
-    /// child of the dropped region is itself outside `G_root` — except the
-    /// walk's one entry into the new root, whose tag is pre-cleared. Tree
-    /// re-roots therefore skip the membership probes *and* the boundary
-    /// re-qualification pass, and run under every reach backend.
+    /// new root was not a cone member, or the reach backend has no
+    /// materialised row for it (without one the mask itself would cost a
+    /// DFS over `G_root` — more than the rebuild it replaces).
     ///
     /// Exactness (every claim backed by `w̃`-monotonicity over the
     /// ancestor-closed alive set, and proven wholesale by the differential
@@ -627,27 +466,21 @@ impl GreedyDagPolicy {
         if !self.fr_valid || self.fr_root == r || self.fr_state[r.index()] != FR_CONE {
             return false;
         }
-        let mask = if self.tree {
-            None
-        } else {
-            match ctx.reach.and_then(|ix| ix.stored_mask(r)) {
-                Some(m) => Some(m),
-                None => return false,
-            }
+        let Some(mask) = ctx.reach.and_then(|ix| ix.stored_mask(r)) else {
+            return false;
         };
         debug_assert!(self.alive.contains(r));
         debug_assert_eq!(
             self.fr_count_mode, count_mode,
             "cone membership pins the balancing mode"
         );
-        self.frame_guard();
         // The new root stops being a member of its own frontier.
         self.fr_state[r.index()] = FR_OUT;
         // The FR_CONE → FR_OUT transition doubles as the visited marker (it
         // fires once per node), so the walk needs no `VisitedSet` and no
         // alive checks: dead cone-tagged regions are cleared like live ones
-        // (their entries were already invisible to the scan, and the
-        // re-root step is lossy, so no undo ever relies on them), and a
+        // (their entries were already invisible to the scan, and undo
+        // invalidates the frontier, so no undo relies on them), and a
         // boundary child pushed twice through diamond parents is merely
         // re-qualified idempotently.
         self.queue.clear();
@@ -655,58 +488,42 @@ impl GreedyDagPolicy {
         while let Some(u) = self.queue.pop_front() {
             for &c in ctx.dag.children(u) {
                 match self.fr_state[c.index()] {
-                    FR_CONE if mask.is_none_or(|m| !m.contains(c)) => {
+                    FR_CONE if !mask.contains(c) => {
                         self.fr_state[c.index()] = FR_OUT;
                         self.queue.push_back(c);
                     }
-                    FR_BOUNDARY => match mask {
-                        Some(_) => self.requal.push(c),
-                        // Tree: the unique parent chain is dropped, so the
-                        // boundary child is outside `G_root` unconditionally.
-                        None => self.fr_state[c.index()] = FR_OUT,
-                    },
+                    FR_BOUNDARY => self.requal.push(c),
                     _ => {}
                 }
             }
         }
-        if let Some(mask) = mask {
-            for i in 0..self.requal.len() {
-                let b = self.requal[i];
-                let keep = mask.contains(b)
-                    && ctx
-                        .dag
-                        .parents(b)
-                        .iter()
-                        .any(|&p| p == r || self.fr_state[p.index()] == FR_CONE);
-                if !keep {
-                    self.fr_state[b.index()] = FR_OUT;
-                }
+        for i in 0..self.requal.len() {
+            let b = self.requal[i];
+            let keep = mask.contains(b)
+                && ctx
+                    .dag
+                    .parents(b)
+                    .iter()
+                    .any(|&p| p == r || self.fr_state[p.index()] == FR_CONE);
+            if !keep {
+                self.fr_state[b.index()] = FR_OUT;
             }
-            self.requal.clear();
         }
+        self.requal.clear();
         self.fr_root = r;
         self.fr_count_mode = count_mode;
         true
     }
 
-    /// Materialises a deferred *no* answer: collects the doomed subgraph,
-    /// repairs the remaining alive ancestors (the root was repaired eagerly
-    /// at `observe` time and is skipped here — its eager value *is* the
-    /// exact post-repair value on either delta or absolute emission), clears
-    /// the alive bits word-granularly and runs the frontier invalidation
-    /// checks. Everything journals into the step that recorded the answer,
-    /// which is still on top — `observe` and `select` call this before
-    /// touching anything else.
-    fn flush_doom(&mut self, ctx: &SearchContext<'_>) {
-        let Some(q) = self.pending_doom.take() else {
-            return;
-        };
-        debug_assert!(!self.journal.is_empty(), "pending doom has an open step");
+    /// Applies a *no* answer at `q`: collects the doomed subgraph, repairs
+    /// every alive ancestor, clears the alive bits word-granularly and runs
+    /// the frontier invalidation checks, journalling into the step `observe`
+    /// just opened.
+    fn doom(&mut self, ctx: &SearchContext<'_>, q: NodeId) {
         // Collect the doomed subgraph D = alive ∩ G_q into reusable scratch.
         self.deleted.clear();
         self.visited.clear();
         self.queue.clear();
-        debug_assert!(self.alive.contains(q));
         self.visited.insert(q);
         self.queue.push_back(q);
         while let Some(u) = self.queue.pop_front() {
@@ -732,7 +549,6 @@ impl GreedyDagPolicy {
             let fr_state = &self.fr_state;
             let touched = &mut self.touched_cone;
             let watch = self.fr_valid && self.fr_root == self.root;
-            let skip = self.root;
             index.doomed_contributions(
                 ctx.dag,
                 &self.deleted,
@@ -740,9 +556,6 @@ impl GreedyDagPolicy {
                 &self.w,
                 &mut self.reach,
                 |p, wv, cv, absolute| {
-                    if p == skip {
-                        return;
-                    }
                     journal.log_u64(p.index(), wt[p.index()]);
                     journal.log_u32(p.index(), cnt[p.index()]);
                     if absolute {
@@ -759,8 +572,8 @@ impl GreedyDagPolicy {
             );
         }
         // The nodes die: word-granular alive clears (one journalled word
-        // per 64 ids). Frontier tags of dead nodes go stale on purpose —
-        // scans check `alive` first, and frames restore tags wholesale.
+        // per 64 ids). Frontier tags of dead nodes go stale on purpose:
+        // every reader checks `alive` first.
         self.word_mark.clear();
         for &d in &self.deleted {
             let word = d.index() >> 6;
@@ -775,8 +588,7 @@ impl GreedyDagPolicy {
         // the next `select` rebuilds it from scratch. A doom landing while
         // the frontier still describes an *earlier* root also invalidates:
         // the retained member scores are now stale, so re-root reuse would
-        // diverge from the pruned BFS (`fr_valid` lives in the step payload,
-        // so undo restores it exactly).
+        // diverge from the pruned BFS.
         if self.fr_valid {
             if self.fr_root != self.root {
                 self.fr_valid = false;
@@ -822,9 +634,8 @@ impl Policy for GreedyDagPolicy {
         if ctx.cache_token != 0 && self.base_token == ctx.cache_token && self.wt.len() == n {
             // Same instance as the previous session: unwinding the journal
             // restores the exact base state — including the base frontier
-            // of the previous session's first round — in O(previous
-            // session's deltas) instead of an O(n) clone (or O(n·m)
-            // recompute).
+            // snapshot — in O(previous session's deltas) instead of an
+            // O(n) clone (or O(n·m) recompute).
             while self.unwind_one() {}
             self.root = ctx.dag.root();
             return;
@@ -838,10 +649,8 @@ impl Policy for GreedyDagPolicy {
         }
         self.root = ctx.dag.root();
         self.journal.clear();
-        self.pending_doom = None;
-        self.fr_tainted = false;
+        self.base_mode = None;
         self.fr_rescore = false;
-        self.tree = ctx.dag.is_tree();
         self.base_token = ctx.cache_token;
         self.fr_valid = false;
         self.fr_root = NodeId::SENTINEL;
@@ -867,7 +676,6 @@ impl Policy for GreedyDagPolicy {
     }
 
     fn select(&mut self, ctx: &SearchContext<'_>) -> NodeId {
-        self.flush_doom(ctx);
         debug_assert!(self.resolved().is_none());
         let r = self.root;
         // When every alive candidate has zero rounded weight (forced
@@ -889,10 +697,11 @@ impl Policy for GreedyDagPolicy {
         // unchanged and repaired cone members were demotion-checked in
         // `observe`. Scan the flat lists, promoting and expanding as the
         // pruned BFS would discover. Entries whose tag moved on (re-root
-        // drops, promoted duplicates, wholesale clears) are compacted out
-        // as the scan passes — dropping an invisible entry is semantically
-        // free, so this needs no frame. Dead entries with matching tags
-        // stay: an undo can revive them.
+        // drops, promoted duplicates) are compacted out as the scan passes
+        // — dropping an invisible entry is semantically free. Dead entries
+        // are dropped too, with their tags cleared, so every tagged node
+        // stays a list entry: undo never revives a list (it invalidates the
+        // frontier).
         let mut best: Option<(u64, NodeId)> = None;
         let consider = |s: u64, c: NodeId, best: &mut Option<(u64, NodeId)>| {
             let balance = (2 * s).abs_diff(total);
@@ -904,11 +713,10 @@ impl Policy for GreedyDagPolicy {
                 *best = Some((balance, c));
             }
         };
-        // When `fr_rescore` is armed (a flushed repair or a journal pop may
-        // have moved `wt`/`cnt`), refresh each kept entry's cached score —
-        // that pass is exactly the per-entry gather the scan always paid
-        // before caching. Otherwise the cached pairs are exact and the scan
-        // is a sequential compare.
+        // When `fr_rescore` is armed (a repair may have moved `wt`/`cnt`),
+        // refresh each kept entry's cached score — that pass is exactly the
+        // per-entry gather the scan always paid before caching. Otherwise
+        // the cached pairs are exact and the scan is a sequential compare.
         let rescore = self.fr_rescore;
         let mut j = 0;
         for i in 0..self.cone.len() {
@@ -916,15 +724,15 @@ impl Policy for GreedyDagPolicy {
             if self.fr_state[v.index()] != FR_CONE {
                 continue;
             }
-            let live = self.alive.contains(v);
-            if rescore && live {
+            if !self.alive.contains(v) {
+                self.fr_state[v.index()] = FR_OUT;
+                continue;
+            }
+            if rescore {
                 s = self.score(count_mode, v);
             }
             self.cone[j] = (v, s);
             j += 1;
-            if !live {
-                continue;
-            }
             debug_assert_eq!(s, self.score(count_mode, v), "stale cached cone score");
             debug_assert!(2 * s > total, "cone member fell light without a rebuild");
             consider(s, v, &mut best);
@@ -939,8 +747,7 @@ impl Policy for GreedyDagPolicy {
                 continue;
             }
             if !self.alive.contains(b) {
-                self.boundary[j] = (b, s);
-                j += 1;
+                self.fr_state[b.index()] = FR_OUT;
                 continue;
             }
             if rescore {
@@ -954,7 +761,6 @@ impl Policy for GreedyDagPolicy {
                 // exactly like the pruned BFS expansion. (A member the
                 // re-root walk dropped for want of a tagged parent
                 // re-enters here once that parent is promoted.)
-                self.frame_guard();
                 self.fr_state[b.index()] = FR_CONE;
                 self.cone.push((b, s));
                 for &c in ctx.dag.children(b) {
@@ -974,26 +780,7 @@ impl Policy for GreedyDagPolicy {
     }
 
     fn observe(&mut self, ctx: &SearchContext<'_>, q: NodeId, yes: bool) {
-        self.flush_doom(ctx);
-        self.journal.begin(DagStep {
-            prev_root: self.root,
-            fr_valid: self.fr_valid,
-            fr_root: self.fr_root,
-            fr_count_mode: self.fr_count_mode,
-            frame_spilled: false,
-            frame_lossy: false,
-            tainted: self.fr_tainted,
-            frame_cone_len: 0,
-        });
-        // The new step's begin content is the live content by definition;
-        // whether *older* content is recoverable travels in the payload.
-        self.fr_tainted = false;
-        if !self.fr_valid {
-            // The frontier is already invalid, so this step's structural
-            // mutation is regenerated wholesale by the next rebuild — a
-            // spilled frame would be restored only to be thrown away.
-            self.journal.mark_frame_doomed();
-        }
+        self.journal.begin(self.root);
         if yes {
             // Re-root: the frontier arrays still describe the old root; the
             // next `select` re-roots onto the surviving sub-frontier (or
@@ -1001,21 +788,9 @@ impl Policy for GreedyDagPolicy {
             self.root = q;
             return;
         }
-        // Defer the doomed-subgraph materialisation: an `unobserve` before
-        // the next `select`/`observe` annuls the answer entirely, and the
-        // undo_roundtrip hot loop is exactly that pattern. Only the root's
-        // aggregates are repaired eagerly — the root is a full ancestor of
-        // every doomed node (the alive set is ancestor-closed), so its exact
-        // post-repair value is one subtraction of `q`'s own aggregates —
-        // which keeps `resolved()` exact while the rest waits.
         debug_assert!(self.alive.contains(q));
         debug_assert!(q != self.root, "a *no* at the root empties the space");
-        let (r, qi) = (self.root.index(), q.index());
-        self.journal.log_u64(r, self.wt[r]);
-        self.journal.log_u32(r, self.cnt[r]);
-        self.wt[r] -= self.wt[qi];
-        self.cnt[r] -= self.cnt[qi];
-        self.pending_doom = Some(q);
+        self.doom(ctx, q);
     }
 
     fn unobserve(&mut self, _ctx: &SearchContext<'_>) {
@@ -1114,7 +889,6 @@ mod tests {
         // Eliminate G_3 = {3, 4}: node 1 loses both, node 2 loses both,
         // root loses both.
         p.observe(&ctx, NodeId::new(3), false);
-        p.flush_pending(&ctx);
         assert_eq!(p.cnt[0], cnt0[0] - 2);
         assert_eq!(p.cnt[1], cnt0[1] - 2);
         assert_eq!(p.cnt[2], cnt0[2] - 2);
@@ -1162,6 +936,22 @@ mod tests {
         assert!(p.frontier_live(), "token reset lands on a warm frontier");
         assert_eq!(p.frontier_snapshot(), base_frontier);
         assert_eq!(p.select(&ctx), first);
+
+        // A yes-first session: the re-root reuses the frontier through the
+        // closure mask, and the token reset still lands on the base
+        // snapshot, so the next session's first select runs no BFS.
+        let reach = ReachIndex::closure_for(&g);
+        let ctx = ctx.with_reach(&reach);
+        let mut p = GreedyDagPolicy::new();
+        p.reset(&ctx);
+        let first = p.select(&ctx);
+        p.observe(&ctx, first, true);
+        let _ = p.select(&ctx);
+        p.reset(&ctx);
+        assert!(p.frontier_live(), "reset after a re-root lands warm");
+        let rebuilds = p.rebuilds;
+        assert_eq!(p.select(&ctx), first);
+        assert_eq!(p.rebuilds, rebuilds, "warm reset must not rebuild");
     }
 
     #[test]
@@ -1202,32 +992,6 @@ mod tests {
 mod drill_probe {
     use super::*;
     use crate::{fresh_cache_token, NodeWeights, SearchContext};
-
-    fn yes_chain(depth: usize, fanout: usize, ratio: f64) -> (aigs_graph::Dag, NodeWeights) {
-        let n = depth + 1 + depth * fanout * 2;
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        let mut masses = vec![0.0f64; n];
-        let mut next = depth + 1;
-        let mut level_mass = 1.0f64;
-        for i in 0..depth {
-            edges.push((i as u32, (i + 1) as u32));
-            let share = (1.0 - ratio) * level_mass / (fanout + 1) as f64;
-            masses[i] = share;
-            for _ in 0..fanout {
-                let (l, m) = (next, next + 1);
-                next += 2;
-                edges.push((i as u32, l as u32));
-                edges.push((l as u32, m as u32));
-                masses[l] = share / 2.0;
-                masses[m] = share / 2.0;
-            }
-            level_mass *= ratio;
-        }
-        masses[depth] = level_mass;
-        let g = aigs_graph::dag_from_edges(n, &edges).unwrap();
-        let w = NodeWeights::from_masses(masses).unwrap();
-        (g, w)
-    }
 
     /// `levels` ranks of `width` nodes under the root, each rank fully
     /// connected to the next, keeping `ratio` of the remaining mass below
@@ -1283,38 +1047,13 @@ mod drill_probe {
             .collect()
     }
 
-    /// The drill-down regression guard: answering *yes* at the root's heavy
-    /// chain child must keep the frontier live through the re-root walk on
-    /// every round — no backend needed, because the hierarchy is a tree.
-    /// Only the first round may run the pruned BFS: a rebuild also leaves
-    /// a valid frontier, so the state asserts alone would still pass if
-    /// re-root reuse silently stopped firing; the rebuild count would not.
-    #[test]
-    fn drill_uses_reroot() {
-        let (g, w) = yes_chain(16, 8, 0.8);
-        let token = fresh_cache_token();
-        let ctx = SearchContext::new(&g, &w).with_cache_token(token);
-        let mut p = GreedyDagPolicy::new();
-        p.reset(&ctx);
-        assert!(p.tree, "yes_chain is a tree");
-        for lvl in 1..=8usize {
-            let _ = p.select(&ctx);
-            assert!(p.fr_valid, "frontier fell invalid at level {lvl}");
-            assert_eq!(p.fr_root, p.root, "select left a stale frontier root");
-            assert!(
-                p.fr_state[NodeId::new(lvl).index()] == FR_CONE,
-                "heavy chain child lost its cone tag at level {lvl}"
-            );
-            p.observe(&ctx, NodeId::new(lvl), true);
-        }
-        assert_eq!(p.rebuilds, 1, "re-root reuse stopped firing on the tree");
-    }
-
-    /// The same guard on a dense DAG, through the closure backend's
-    /// reach-mask walk: a *yes* at the first node of each rank re-roots
-    /// one rank down with a multi-rank cone surviving. The incremental
-    /// policy must pick what the from-scratch oracle picks while running
-    /// the pruned BFS once, where the oracle runs it every round.
+    /// The drill-down regression guard on a dense DAG, through the
+    /// closure backend's reach-mask walk: a *yes* at the first node of each
+    /// rank re-roots one rank down with a multi-rank cone surviving. The
+    /// incremental policy must pick what the from-scratch oracle picks
+    /// while running the pruned BFS once, where the oracle runs it every
+    /// round. A rebuild also leaves a valid frontier, so only the rebuild
+    /// count shows whether re-root reuse still fires.
     #[test]
     fn lattice_drill_uses_reroot() {
         let (levels, width) = (24, 16);

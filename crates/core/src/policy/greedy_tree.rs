@@ -116,6 +116,7 @@ impl GreedyTreePolicy {
             },
             |slot, old| size[slot] = old,
             |slot| detached[slot] = !detached[slot],
+            |_, _| {},
             |_| {},
         ) {
             Some(step) => {

@@ -23,16 +23,13 @@
 //!    [`StepJournal::log_flip`] (a slot must flip at most once per step) or,
 //!    when a step toggles many bits of one bitset, whole 64-bit words with
 //!    [`StepJournal::log_word`]; stash variable-length state (e.g. a heavy
-//!    chain about to be rebuilt) with [`StepJournal::spill_nodes`]; snapshot
-//!    incremental frontier structures once per step with
-//!    [`StepJournal::log_frame`] right before the step's first structural
-//!    mutation (see [`StepJournal::frame_pending`]).
-//! 3. In `unobserve`, call [`StepJournal::pop_with`]: it replays the entry
-//!    logs of the most recent step **in reverse logging order** (so a slot
-//!    logged twice in one step ends at its first-logged value), hands the
-//!    spill slice to a callback, truncates the step, and returns the
-//!    payload. Restoration is bit-exact — floats come back as the identical
-//!    bit pattern, with no `-=`/`+=` drift.
+//!    chain about to be rebuilt) with [`StepJournal::spill_nodes`].
+//! 3. In `unobserve`, call [`StepJournal::pop_with`], the journal's single
+//!    pop: it replays the entry logs of the most recent step **in reverse
+//!    logging order** (so a slot logged twice in one step ends at its
+//!    first-logged value), hands the spill slice to a callback, truncates
+//!    the step, and returns the payload. Restoration is bit-exact — floats
+//!    come back as the identical bit pattern, with no `-=`/`+=` drift.
 //! 4. In `reset`, when [`crate::SearchContext::cache_token`] matches the
 //!    previous session's token, unwind the journal to depth zero instead of
 //!    re-deriving (or cloning) the per-instance base state: a full unwind
@@ -54,12 +51,6 @@ struct Mark<S> {
     flips: u32,
     spill: u32,
     words: u32,
-    frame: u32,
-    /// Rebuild-pending bit: the state a frame would snapshot is already
-    /// doomed (the undo of this step lands on it invalidated, so the next
-    /// read regenerates it from scratch anyway). While set,
-    /// [`StepJournal::log_frame`] is a no-op for this step.
-    frame_doomed: bool,
     payload: S,
 }
 
@@ -81,10 +72,6 @@ pub struct StepJournal<S> {
     /// whole subgraph logs O(|subgraph|/64) entries instead of one flip per
     /// node.
     words: Vec<(u32, u64)>,
-    /// Frontier-frame area: at most one frame per step, holding a compact
-    /// snapshot of incremental search state (e.g. the greedy-DAG cone +
-    /// boundary) taken lazily before the step's first structural mutation.
-    frame: Vec<u32>,
     steps: Vec<Mark<S>>,
 }
 
@@ -97,7 +84,6 @@ impl<S: Copy> StepJournal<S> {
             flips: Vec::new(),
             spill: Vec::new(),
             words: Vec::new(),
-            frame: Vec::new(),
             steps: Vec::new(),
         }
     }
@@ -121,7 +107,6 @@ impl<S: Copy> StepJournal<S> {
         self.flips.clear();
         self.spill.clear();
         self.words.clear();
-        self.frame.clear();
         self.steps.clear();
     }
 
@@ -133,28 +118,8 @@ impl<S: Copy> StepJournal<S> {
             flips: self.flips.len() as u32,
             spill: self.spill.len() as u32,
             words: self.words.len() as u32,
-            frame: self.frame.len() as u32,
-            frame_doomed: false,
             payload,
         });
-    }
-
-    /// Marks the most recent step's frame as **doomed**: whatever structure
-    /// a frame would snapshot is already invalid, so undoing this step lands
-    /// on state the next reader rebuilds from scratch regardless of content.
-    /// Subsequent [`StepJournal::log_frame`] calls for this step become
-    /// no-ops — the spill is pure waste, skip it.
-    pub fn mark_frame_doomed(&mut self) {
-        debug_assert!(!self.steps.is_empty(), "doomed mark outside a step");
-        if let Some(mark) = self.steps.last_mut() {
-            mark.frame_doomed = true;
-        }
-    }
-
-    /// True when the most recent step's frame is marked doomed (see
-    /// [`StepJournal::mark_frame_doomed`]); `false` on an empty journal.
-    pub fn frame_doomed(&self) -> bool {
-        self.steps.last().is_some_and(|m| m.frame_doomed)
     }
 
     /// Records the old value of a 64-bit slot about to change.
@@ -194,36 +159,6 @@ impl<S: Copy> StepJournal<S> {
         self.words.push((word_index as u32, old));
     }
 
-    /// True when the most recent step already carries a frontier frame.
-    ///
-    /// Frames are taken lazily — a step that never mutates the frontier
-    /// stores nothing — so callers snapshot exactly once, right before the
-    /// step's first structural mutation.
-    pub fn frame_pending(&self) -> bool {
-        self.steps
-            .last()
-            .is_some_and(|m| (m.frame as usize) < self.frame.len())
-    }
-
-    /// Stashes the step's frontier frame: an arbitrary `u32` snapshot of
-    /// incremental-search state (the greedy-DAG policy stores its live cone
-    /// followed by its live boundary, with the split point in the step
-    /// payload). At most one frame per step; replayed by
-    /// [`StepJournal::pop_full`] *after* the entry logs, so frame-restored
-    /// structures may depend on the already-restored arrays. A no-op (and
-    /// `false`) when the step's frame is marked doomed via
-    /// [`StepJournal::mark_frame_doomed`]; returns `true` when the frame was
-    /// actually stored.
-    pub fn log_frame(&mut self, frame: impl IntoIterator<Item = u32>) -> bool {
-        debug_assert!(!self.steps.is_empty(), "frame outside a step");
-        debug_assert!(!self.frame_pending(), "step already carries a frame");
-        if self.frame_doomed() {
-            return false;
-        }
-        self.frame.extend(frame);
-        true
-    }
-
     /// Stashes a node sequence (e.g. the heavy chain a `select` rebuild is
     /// about to overwrite) into the step's spill area.
     ///
@@ -242,41 +177,17 @@ impl<S: Copy> StepJournal<S> {
         self.steps.last_mut().map(|m| &mut m.payload)
     }
 
-    /// Pops the most recent step: replays its `u64`, `u32` and flip logs in
-    /// reverse logging order through the callbacks, hands the (possibly
-    /// empty) spill slice to `on_spill`, truncates the step and returns its
-    /// payload. `None` when the journal is empty.
+    /// Pops the most recent step: replays its `u64`, `u32`, flip and word
+    /// logs, each in reverse logging order, through the callbacks, hands the
+    /// (possibly empty) spill slice to `on_spill`, truncates the step and
+    /// returns its payload. `None` when the journal is empty.
     pub fn pop_with(
-        &mut self,
-        on_u64: impl FnMut(usize, u64),
-        on_u32: impl FnMut(usize, u32),
-        on_flip: impl FnMut(usize),
-        on_spill: impl FnOnce(&[u32]),
-    ) -> Option<S> {
-        debug_assert!(
-            self.steps
-                .last()
-                .is_none_or(|m| m.words as usize == self.words.len()
-                    && m.frame as usize == self.frame.len()),
-            "step carries word/frame logs; use pop_full"
-        );
-        self.pop_full(on_u64, on_u32, on_flip, |_, _| {}, on_spill, |_, _| {})
-    }
-
-    /// [`StepJournal::pop_with`] extended with the word and frame logs:
-    /// words replay interleaved with the other entry logs (in reverse
-    /// logging order within their own log), and `on_frame` receives the
-    /// step's payload together with its (possibly empty) frame slice
-    /// **after** every entry log has been replayed — the frontier a frame
-    /// rebuilds may therefore rely on the already-restored arrays.
-    pub fn pop_full(
         &mut self,
         mut on_u64: impl FnMut(usize, u64),
         mut on_u32: impl FnMut(usize, u32),
         mut on_flip: impl FnMut(usize),
         mut on_word: impl FnMut(usize, u64),
         on_spill: impl FnOnce(&[u32]),
-        on_frame: impl FnOnce(&S, &[u32]),
     ) -> Option<S> {
         let mark = self.steps.pop()?;
         for &(slot, old) in self.u64s[mark.u64s as usize..].iter().rev() {
@@ -292,13 +203,11 @@ impl<S: Copy> StepJournal<S> {
             on_word(word as usize, old);
         }
         on_spill(&self.spill[mark.spill as usize..]);
-        on_frame(&mark.payload, &self.frame[mark.frame as usize..]);
         self.u64s.truncate(mark.u64s as usize);
         self.u32s.truncate(mark.u32s as usize);
         self.flips.truncate(mark.flips as usize);
         self.spill.truncate(mark.spill as usize);
         self.words.truncate(mark.words as usize);
-        self.frame.truncate(mark.frame as usize);
         Some(mark.payload)
     }
 }
@@ -335,18 +244,20 @@ mod tests {
 
         assert_eq!(j.depth(), 2);
         let p = j
-            .pop_with(|s, old| arr[s] = old, |_, _| {}, |_| {}, |_| {})
+            .pop_with(|s, old| arr[s] = old, |_, _| {}, |_| {}, |_, _| {}, |_| {})
             .unwrap();
         assert_eq!(p, P(2));
         assert_eq!(arr, [12, 20, 31]);
 
         let p = j
-            .pop_with(|s, old| arr[s] = old, |_, _| {}, |_| {}, |_| {})
+            .pop_with(|s, old| arr[s] = old, |_, _| {}, |_| {}, |_, _| {}, |_| {})
             .unwrap();
         assert_eq!(p, P(1));
         assert_eq!(arr, [10, 20, 30], "reverse replay restores first-logged");
         assert!(j.is_empty());
-        assert!(j.pop_with(|_, _| {}, |_, _| {}, |_| {}, |_| {}).is_none());
+        assert!(j
+            .pop_with(|_, _| {}, |_, _| {}, |_| {}, |_, _| {}, |_| {})
+            .is_none());
     }
 
     #[test]
@@ -357,8 +268,14 @@ mod tests {
         j.begin(P(0));
         j.log_f64(0, x);
         x = 999.0;
-        j.pop_with(|_, old| x = f64::from_bits(old), |_, _| {}, |_| {}, |_| {})
-            .unwrap();
+        j.pop_with(
+            |_, old| x = f64::from_bits(old),
+            |_, _| {},
+            |_| {},
+            |_, _| {},
+            |_| {},
+        )
+        .unwrap();
         assert_eq!(x.to_bits(), original.to_bits());
     }
 
@@ -380,6 +297,7 @@ mod tests {
             |_, _| {},
             |_, _| {},
             |s| flags[s] = !flags[s],
+            |_, _| {},
             |spill| restored.extend(spill.iter().map(|&v| NodeId(v))),
         )
         .unwrap();
@@ -399,96 +317,24 @@ mod tests {
         j.begin(P(2));
         j.log_word(0, words[0]);
         words[0] = 7;
-        j.pop_full(
+        j.pop_with(
             |_, _| {},
             |_, _| {},
             |_| {},
             |w, old| words[w] = old,
             |_| {},
-            |_, _| {},
         )
         .unwrap();
         assert_eq!(words, [0, 0]);
-        j.pop_full(
+        j.pop_with(
             |_, _| {},
             |_, _| {},
             |_| {},
             |w, old| words[w] = old,
             |_| {},
-            |_, _| {},
         )
         .unwrap();
         assert_eq!(words, [0xffff_ffff_ffff_ffff, 0x0f0f]);
-    }
-
-    #[test]
-    fn frames_are_lazy_one_per_step_and_replayed_last() {
-        let mut j: StepJournal<P> = StepJournal::new();
-        j.begin(P(1));
-        assert!(!j.frame_pending(), "fresh step has no frame");
-        j.log_frame([4u32, 5, 6]);
-        assert!(j.frame_pending());
-        j.begin(P(2));
-        assert!(!j.frame_pending(), "frames do not leak into later steps");
-
-        // Step 2 carries no frame: its callback sees an empty slice.
-        let mut seen: Vec<(u32, Vec<u32>)> = Vec::new();
-        j.pop_full(
-            |_, _| {},
-            |_, _| {},
-            |_| {},
-            |_, _| {},
-            |_| {},
-            |p, f| seen.push((p.0, f.to_vec())),
-        )
-        .unwrap();
-        // Step 1: array logs must be replayed before the frame callback.
-        let arr = std::cell::Cell::new(0u64);
-        j.log_u64(0, 77);
-        let mut arr_at_frame = None;
-        j.pop_full(
-            |_, old| arr.set(old),
-            |_, _| {},
-            |_| {},
-            |_, _| {},
-            |_| {},
-            |p, f| {
-                arr_at_frame = Some(arr.get());
-                seen.push((p.0, f.to_vec()));
-            },
-        )
-        .unwrap();
-        assert_eq!(arr_at_frame, Some(77), "frame replays after entry logs");
-        assert_eq!(seen, vec![(2, vec![]), (1, vec![4, 5, 6])]);
-        assert!(j.is_empty());
-    }
-
-    #[test]
-    fn doomed_frames_are_skipped_per_step() {
-        let mut j: StepJournal<P> = StepJournal::new();
-        j.begin(P(1));
-        j.mark_frame_doomed();
-        assert!(j.frame_doomed());
-        assert!(!j.log_frame([1u32, 2, 3]), "doomed frame must be a no-op");
-        assert!(!j.frame_pending(), "nothing was stored");
-        // The bit is per step: a later step spills normally.
-        j.begin(P(2));
-        assert!(!j.frame_doomed(), "doomed bit does not leak across steps");
-        assert!(j.log_frame([9u32]));
-        assert!(j.frame_pending());
-        let mut frames = Vec::new();
-        while j
-            .pop_full(
-                |_, _| {},
-                |_, _| {},
-                |_| {},
-                |_, _| {},
-                |_| {},
-                |p, f| frames.push((p.0, f.to_vec())),
-            )
-            .is_some()
-        {}
-        assert_eq!(frames, vec![(2, vec![9]), (1, vec![])]);
     }
 
     #[test]
@@ -498,6 +344,8 @@ mod tests {
         j.log_u32(5, 55);
         j.clear();
         assert!(j.is_empty());
-        assert!(j.pop_with(|_, _| {}, |_, _| {}, |_| {}, |_| {}).is_none());
+        assert!(j
+            .pop_with(|_, _| {}, |_, _| {}, |_| {}, |_, _| {}, |_| {})
+            .is_none());
     }
 }

@@ -195,6 +195,7 @@ impl TreeState {
             |_, _| unreachable!("tree mode logs no u64 entries"),
             |slot, old| size[slot] = old,
             |slot| detached[slot] = !detached[slot],
+            |_, _| unreachable!("tree mode logs no words"),
             |spill| {
                 // Non-empty spill = a later select rebuilt the chain; put
                 // the pre-rebuild chain back.
@@ -358,6 +359,7 @@ impl DagState {
             |slot, old| alive.restore_word(slot, old),
             |_, _| unreachable!("dag mode logs no u32 entries"),
             |_| unreachable!("dag mode logs no flips"),
+            |_, _| unreachable!("dag mode logs no words"),
             |spill| {
                 if !spill.is_empty() {
                     chain.clear();

@@ -103,7 +103,6 @@ fn assert_state_matches_cold_rebuild(
     ctx: &SearchContext<'_>,
     label: &str,
 ) {
-    p.flush_pending(ctx);
     let (alive_ids, wt, cnt) = p.aggregates_snapshot();
     let n = ctx.dag.node_count();
     let mut alive = vec![false; n];
@@ -432,15 +431,15 @@ proptest! {
         }
     }
 
-    /// Pending-doom / doomed-frame interleaving fuzz, deliberately *without*
-    /// per-op flushing: blind observes (no `select` in between) stack a
-    /// deferred *no* on top of possibly-invalid frontiers, undos annul the
-    /// deferral through the O(1) path, token resets unwind across it, and
-    /// `resolved()` — served by the eager root repair alone — must agree
-    /// with a brute-force replay after every single op. Final state is
-    /// bit-checked against cold rebuilds and the from-scratch reference.
+    /// Blind-observe interleaving fuzz: observes with no `select` in
+    /// between stack answers on top of possibly-invalid frontiers (a *no*
+    /// right after a *yes* lands while the frontier still describes the
+    /// old root), undos and token resets unwind across them, and
+    /// `resolved()` must agree with a brute-force replay after every
+    /// single op. Final state is bit-checked against cold rebuilds and the
+    /// from-scratch reference.
     #[test]
-    fn pending_doom_interleaving_fuzz_without_flush(
+    fn blind_observe_interleaving_fuzz(
         n in 3usize..20,
         frac in 0.05f64..0.4,
         seed in 0u64..10_000,
@@ -477,7 +476,7 @@ proptest! {
                     2 | 3 => {
                         // Blind observe: an alive non-root node under the
                         // current root, answered honestly, *without* the
-                        // flushing `select` an ordinary advance performs.
+                        // `select` an ordinary advance performs.
                         let (root, alive) = replay_alive(&g, &prefix);
                         let pick = (0..nn)
                             .map(|k| NodeId::new((k + op_no + seed as usize) % nn))
@@ -499,8 +498,6 @@ proptest! {
                         }
                     }
                 }
-                // `resolved()` runs off the eagerly repaired root aggregates
-                // while the rest of the doom is still deferred.
                 let (root, alive) = replay_alive(&g, &prefix);
                 let want_resolved =
                     (alive_cone_count(&g, root, &alive) == 1).then_some(root);
@@ -529,8 +526,8 @@ proptest! {
 /// Deterministic split of the two *yes* re-root shapes: a cone member (the
 /// closure backend serves it from the retained sub-frontier) and a light
 /// boundary outsider (every backend falls back to the pruned-BFS rebuild).
-/// Both must land bit-equal to cold rebuilds; the deferral hooks are
-/// checked explicitly along the way.
+/// Both must land bit-equal to cold rebuilds, and so must an undone *no*
+/// right after them.
 #[test]
 fn reroot_cone_member_vs_non_member_is_differential_clean() {
     let (g, weights) = yes_chain(8, 2, 0.75);
@@ -550,7 +547,6 @@ fn reroot_cone_member_vs_non_member_is_differential_clean() {
             "{label}: the chain balance winner sits in the heavy cone"
         );
         p.observe(&ctx, q, true);
-        assert!(!p.doom_pending(), "{label}: a yes defers nothing");
         assert_state_matches_cold_rebuild(&mut p, &ctx, &format!("{label}, cone member"));
         // The helper left a live frontier for the new root; now re-root to
         // a light stub child — never a cone member.
@@ -567,12 +563,10 @@ fn reroot_cone_member_vs_non_member_is_differential_clean() {
         );
         p.observe(&ctx, stub, true);
         assert_state_matches_cold_rebuild(&mut p, &ctx, &format!("{label}, outsider"));
-        // And a *no* right after: the deferral must engage and undo in O(1).
+        // And a *no* right after, undone at once.
         let q2 = p.select(&ctx);
         p.observe(&ctx, q2, false);
-        assert!(p.doom_pending(), "{label}: a no defers the doomed walk");
         p.unobserve(&ctx);
-        assert!(!p.doom_pending(), "{label}: undo annuls the deferral");
         assert_state_matches_cold_rebuild(&mut p, &ctx, &format!("{label}, undone no"));
     }
 }
@@ -616,7 +610,6 @@ fn count_mode_flip_mid_session_is_differential_clean() {
         for (i, &(q, ans)) in want_t.iter().enumerate() {
             assert_eq!(p.select(&ctx), q, "{label}: replay diverged");
             p.observe(&ctx, q, ans);
-            p.flush_pending(&ctx);
             let (_, wt, _) = p.aggregates_snapshot();
             if p.resolved().is_none() && wt[p.debug_root().index()] == 0 {
                 flipped_at = Some(i);
