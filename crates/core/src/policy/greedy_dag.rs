@@ -19,11 +19,15 @@
 //! predicate — every alive path from `r` to a heavy node runs through heavy
 //! nodes — which is what makes incremental maintenance exact:
 //!
-//! * a *no* answer dooms `alive ∩ G_q`: `observe` walks the doomed
-//!   subgraph at once, repairs every alive ancestor (the root included)
-//!   via [`aigs_graph::ReachIndex::doomed_contributions`], clears the
-//!   alive bits word-granularly, and runs the frontier invalidation
-//!   checks below;
+//! * a *no* answer dooms `D = alive ∩ G_q`: `observe` repairs every alive
+//!   ancestor (the root included) via
+//!   [`aigs_graph::ReachIndex::doomed_contributions`], whose cost follows
+//!   what changes — the ancestors of `q` take `D`'s total (`q`'s own
+//!   aggregates) in O(1) each, and only the ancestors that reach `D`
+//!   around `q`, through its multi-parent *entry nodes*, are priced (a
+//!   doom on a tree prices none). It then clears `D` from the alive set
+//!   one mask word at a time and runs the frontier invalidation checks
+//!   below;
 //! * a shrinking total promotes boundary nodes into the cone; `select`
 //!   re-scans the flat frontier lists, promoting and expanding where
 //!   `2·w̃ > w̃(r)` now holds (each promotion scans its children once);
@@ -136,16 +140,11 @@ pub struct GreedyDagPolicy {
     // Scratch (never journalled; semantically transparent to rollback).
     visited: VisitedSet,
     queue: VecDeque<NodeId>,
-    /// The doomed-subgraph walk of the current `observe` (reused).
-    deleted: Vec<NodeId>,
     /// Cone members repaired by the current `observe` (demotion check).
     touched_cone: Vec<NodeId>,
     /// Boundary children met by the current re-root walk, pending
     /// re-qualification against the surviving cone (reused).
     requal: Vec<NodeId>,
-    /// Epoch set over *word* indices: which alive words were journalled
-    /// this step.
-    word_mark: VisitedSet,
     /// Shared-reach scratch for base aggregation and doomed repairs.
     reach: ReachScratch,
     /// Pruned-BFS runs so far (`rebuild_frontier` calls, in either mode):
@@ -192,10 +191,8 @@ impl GreedyDagPolicy {
             fr_rescore: false,
             visited: VisitedSet::new(0),
             queue: VecDeque::new(),
-            deleted: Vec::new(),
             touched_cone: Vec::new(),
             requal: Vec::new(),
-            word_mark: VisitedSet::new(0),
             reach: ReachScratch::new(0),
             #[cfg(test)]
             rebuilds: 0,
@@ -515,72 +512,52 @@ impl GreedyDagPolicy {
         true
     }
 
-    /// Applies a *no* answer at `q`: collects the doomed subgraph, repairs
-    /// every alive ancestor, clears the alive bits word-granularly and runs
-    /// the frontier invalidation checks, journalling into the step `observe`
-    /// just opened.
+    /// Applies a *no* answer at `q`: repairs every alive ancestor of the
+    /// doomed set `D = alive ∩ G_q`, clears `D` from the alive set one word
+    /// at a time and runs the frontier invalidation checks, journalling
+    /// into the step `observe` just opened.
     fn doom(&mut self, ctx: &SearchContext<'_>, q: NodeId) {
-        // Collect the doomed subgraph D = alive ∩ G_q into reusable scratch.
-        self.deleted.clear();
-        self.visited.clear();
-        self.queue.clear();
-        self.visited.insert(q);
-        self.queue.push_back(q);
-        while let Some(u) = self.queue.pop_front() {
-            self.deleted.push(u);
-            for &c in ctx.dag.children(u) {
-                if self.alive.contains(c) && self.visited.insert(c) {
-                    self.queue.push_back(c);
-                }
-            }
-        }
-        // AdjustWeight (Alg. 7), aggregated: one repair per alive non-doomed
-        // ancestor, each journalling the ancestor's old `w̃`/`ñ` before the
-        // single subtraction. Doomed nodes keep their last alive aggregates
-        // (nothing reads a dead node, and undo revives bit-exactly), so the
-        // journal carries O(|ancestors|) entries instead of one per
-        // (ancestor, doomed) pair.
+        // AdjustWeight (Alg. 7), aggregated: `doomed_contributions` builds
+        // `D` as a word mask and calls back once per alive non-doomed
+        // ancestor, which journals its old `w̃`/`ñ` before the single
+        // subtraction. `D`'s own totals are `q`'s aggregates. Doomed
+        // nodes keep their last alive aggregates (nothing reads a dead
+        // node, and undo revives bit-exactly), so the journal carries
+        // O(|ancestors|) entries instead of one per (ancestor, doomed) pair.
         let index = ctx.reach.unwrap_or(&ReachIndex::Bfs);
+        let total = (self.wt[q.index()], self.cnt[q.index()]);
         self.touched_cone.clear();
-        {
-            let journal = &mut self.journal;
-            let wt = &mut self.wt;
-            let cnt = &mut self.cnt;
-            let fr_state = &self.fr_state;
-            let touched = &mut self.touched_cone;
-            let watch = self.fr_valid && self.fr_root == self.root;
-            index.doomed_contributions(
-                ctx.dag,
-                &self.deleted,
-                &self.alive,
-                &self.w,
-                &mut self.reach,
-                |p, wv, cv, absolute| {
-                    journal.log_u64(p.index(), wt[p.index()]);
-                    journal.log_u32(p.index(), cnt[p.index()]);
-                    if absolute {
-                        wt[p.index()] = wv;
-                        cnt[p.index()] = cv;
-                    } else {
-                        wt[p.index()] -= wv;
-                        cnt[p.index()] -= cv;
-                    }
-                    if watch && fr_state[p.index()] == FR_CONE {
-                        touched.push(p);
-                    }
-                },
-            );
-        }
-        // The nodes die: word-granular alive clears (one journalled word
-        // per 64 ids). Frontier tags of dead nodes go stale on purpose:
-        // every reader checks `alive` first.
-        self.word_mark.clear();
-        for &d in &self.deleted {
-            let word = d.index() >> 6;
-            if self.word_mark.insert(NodeId::new(word)) {
-                self.journal.log_word(word, self.alive.word(word));
-            }
-            self.alive.remove(d);
+        let journal = &mut self.journal;
+        let wt = &mut self.wt;
+        let cnt = &mut self.cnt;
+        let fr_state = &self.fr_state;
+        let touched = &mut self.touched_cone;
+        let watch = self.fr_valid && self.fr_root == self.root;
+        let (doomed, words) = index.doomed_contributions(
+            ctx.dag,
+            q,
+            total,
+            &self.alive,
+            &self.w,
+            &mut self.reach,
+            |p, wv, cv| {
+                journal.log_u64(p.index(), wt[p.index()]);
+                journal.log_u32(p.index(), cnt[p.index()]);
+                wt[p.index()] -= wv;
+                cnt[p.index()] -= cv;
+                if watch && fr_state[p.index()] == FR_CONE {
+                    touched.push(p);
+                }
+            },
+        );
+        // The nodes die, one journalled alive word per non-zero mask word.
+        // Frontier tags of dead nodes go stale on purpose: every reader
+        // checks `alive` first.
+        for &i in words {
+            let i = i as usize;
+            let old = self.alive.word(i);
+            self.journal.log_word(i, old);
+            self.alive.set_word(i, old & !doomed.word(i));
         }
         // Frontier bookkeeping: the two non-local events — the count-mode
         // fallback flipping (the alive rounded weight hit zero) and a
@@ -659,9 +636,6 @@ impl Policy for GreedyDagPolicy {
         self.fr_state.resize(n, FR_OUT);
         self.cone.clear();
         self.boundary.clear();
-        if self.word_mark.capacity() != self.alive.word_count() {
-            self.word_mark = VisitedSet::new(self.alive.word_count());
-        }
     }
 
     fn resolved(&self) -> Option<NodeId> {

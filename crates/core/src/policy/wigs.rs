@@ -334,7 +334,7 @@ impl DagState {
                 old & !gq.word(i) // drop G_q
             };
             if new != old {
-                journal.log_u64(i, old);
+                journal.log_word(i, old);
                 alive.set_word(i, new);
                 killed += (old ^ new).count_ones();
             }
@@ -356,10 +356,10 @@ impl DagState {
         let alive = &mut self.alive;
         let chain = &mut self.chain;
         let Some(step) = self.journal.pop_with(
-            |slot, old| alive.restore_word(slot, old),
+            |_, _| unreachable!("dag mode logs no u64 entries"),
             |_, _| unreachable!("dag mode logs no u32 entries"),
             |_| unreachable!("dag mode logs no flips"),
-            |_, _| unreachable!("dag mode logs no words"),
+            |word, old| alive.restore_word(word, old),
             |spill| {
                 if !spill.is_empty() {
                     chain.clear();

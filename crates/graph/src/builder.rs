@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use crate::{Dag, GraphError, NodeId};
+use crate::{Dag, GraphError, NodeBitSet, NodeId};
 
 /// How to treat inputs with several in-degree-0 nodes.
 ///
@@ -236,6 +236,12 @@ impl HierarchyBuilder {
             return Err(GraphError::CycleDetected(culprit));
         }
 
+        let mut multi_parent = NodeBitSet::empty(n);
+        for (i, w) in parent_off.windows(2).enumerate() {
+            if w[1] - w[0] >= 2 {
+                multi_parent.insert(NodeId::new(i));
+            }
+        }
         let dag = Dag {
             child_off,
             children,
@@ -244,6 +250,7 @@ impl HierarchyBuilder {
             labels: self.labels,
             root,
             topo,
+            multi_parent,
         };
         debug_assert!(dag.validate().is_ok());
         Ok(dag)

@@ -5,7 +5,7 @@
 //! against this type; trees are the special case recognised by
 //! [`Dag::is_tree`] and given an accelerated view by [`crate::Tree`].
 
-use crate::{GraphError, NodeId};
+use crate::{GraphError, NodeBitSet, NodeId};
 
 /// A single-rooted directed acyclic category hierarchy.
 ///
@@ -32,6 +32,8 @@ pub struct Dag {
     pub(crate) root: NodeId,
     /// A topological order of all nodes (parents before children).
     pub(crate) topo: Vec<NodeId>,
+    /// Nodes of in-degree ≥ 2.
+    pub(crate) multi_parent: NodeBitSet,
 }
 
 impl Dag {
@@ -57,6 +59,14 @@ impl Dag {
     #[inline]
     pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
         (0..self.node_count() as u32).map(NodeId)
+    }
+
+    /// The nodes of in-degree ≥ 2 as a bitset: besides `q`, the only nodes
+    /// at which a path from outside a descendant set `G_q` can enter it
+    /// (see [`crate::ReachIndex::doomed_contributions`]).
+    #[inline]
+    pub fn multi_parent_mask(&self) -> &NodeBitSet {
+        &self.multi_parent
     }
 
     /// The children of `u`, in insertion order.
@@ -386,6 +396,7 @@ mod tests {
         assert_eq!(g.leaf_count(), 4);
         assert_eq!(g.children(NodeId::new(1)).len(), 3);
         assert_eq!(g.parents(NodeId::new(5)), &[NodeId::new(3)]);
+        assert_eq!(g.multi_parent_mask().count(), 0);
         g.validate().unwrap();
     }
 
@@ -473,6 +484,7 @@ mod tests {
         let g = b.build().unwrap();
         assert!(!g.is_tree());
         assert_eq!(g.in_degree(z), 2);
+        assert_eq!(g.multi_parent_mask().iter().collect::<Vec<_>>(), vec![z]);
         // Longest-path depth of z is 2.
         assert_eq!(g.depths()[z.index()], 2);
         g.validate().unwrap();

@@ -64,24 +64,47 @@ pub enum ReachIndex {
 #[derive(Debug, Clone)]
 pub struct ReachScratch {
     /// Descendant-row output (doubles as the DFS visited set when filling,
-    /// and as the doomed-set mask in
+    /// and as the doomed-set mask `D` of
     /// [`ReachIndex::doomed_contributions`]).
     row: NodeBitSet,
-    /// Ancestors-of-the-query mask for the frontier repair's full-delta
-    /// fast path.
-    anc: NodeBitSet,
+    /// Indices of the non-zero words of the doomed mask, ascending.
+    words: Vec<u32>,
+    /// The doomed repair's fence: the ancestors of the query, plus the
+    /// doomed nodes below the entry nodes when the repair walks them.
+    fence: NodeBitSet,
     /// Epoch-cleared visited set for counting traversals.
     visited: VisitedSet,
     /// DFS stack.
     stack: Vec<NodeId>,
-    /// Affected-ancestor list of the most recent frontier repair.
+    /// Partial ancestors of the most recent doomed repair, in discovery
+    /// order.
     affected: Vec<NodeId>,
-    /// Per-node weight accumulator for the traversal-backed frontier
-    /// repair. Invariant: all-zero between calls (re-zeroed along
-    /// `affected`, never by a full sweep).
+    /// Per-node weight accumulator of the doomed walks. Invariant:
+    /// all-zero between calls (re-zeroed along `affected`, never by a full
+    /// sweep).
     acc_weight: Vec<u64>,
     /// Per-node count accumulator; same all-zero invariant.
     acc_count: Vec<u32>,
+    /// Pricing strategy forced on every doomed repair, overriding the size
+    /// rule.
+    #[cfg(test)]
+    pricing: Option<Pricing>,
+    /// Nodes the partial-ancestor searches have pushed so far (entry seeds
+    /// and partial ancestors).
+    #[cfg(test)]
+    searched: usize,
+}
+
+/// How [`ReachIndex::doomed_contributions`] prices the partial ancestors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pricing {
+    /// Alg. 7's reverse walks, accumulated per ancestor: one per entry
+    /// node, carrying the totals of the doomed nodes whose parents lead up
+    /// to it.
+    DoomedWalks,
+    /// One `G_p ∩ D` aggregate per partial ancestor `p`: a stored-row AND
+    /// on the closure, a forward walk elsewhere.
+    AncestorRows,
 }
 
 impl ReachScratch {
@@ -89,12 +112,17 @@ impl ReachScratch {
     pub fn new(n: usize) -> Self {
         ReachScratch {
             row: NodeBitSet::empty(n),
-            anc: NodeBitSet::empty(n),
+            words: Vec::new(),
+            fence: NodeBitSet::empty(n),
             visited: VisitedSet::new(n),
             stack: Vec::new(),
             affected: Vec::new(),
             acc_weight: vec![0; n],
             acc_count: vec![0; n],
+            #[cfg(test)]
+            pricing: None,
+            #[cfg(test)]
+            searched: 0,
         }
     }
 
@@ -103,16 +131,66 @@ impl ReachScratch {
         self.row.universe()
     }
 
+    /// The pricing strategy a test forces on every doomed repair, if any.
+    #[cfg(test)]
+    fn forced_pricing(&self) -> Option<Pricing> {
+        self.pricing
+    }
+
+    /// Outside tests the size rule always decides.
+    #[cfg(not(test))]
+    fn forced_pricing(&self) -> Option<Pricing> {
+        None
+    }
+
     /// Re-sizes the buffers when the graph changed (no-op otherwise).
     fn ensure(&mut self, n: usize) {
         if self.row.universe() != n {
             self.row = NodeBitSet::empty(n);
-            self.anc = NodeBitSet::empty(n);
+            self.fence = NodeBitSet::empty(n);
             self.visited = VisitedSet::new(n);
             self.acc_weight = vec![0; n];
             self.acc_count = vec![0; n];
         }
     }
+}
+
+/// The entry nodes of the doomed mask `doomed`, whose non-zero words are
+/// `words`: its members of in-degree ≥ 2 other than `q`, ascending when
+/// `words` is.
+fn entry_nodes<'a>(
+    words: &'a [u32],
+    doomed: &'a NodeBitSet,
+    multi: &'a NodeBitSet,
+    q: NodeId,
+) -> impl Iterator<Item = NodeId> + 'a {
+    words.iter().flat_map(move |&i| {
+        let i = i as usize;
+        let mut bits = doomed.word(i) & multi.word(i);
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(NodeId::new((i << 6) | bit))
+        })
+        .filter(move |&e| e != q)
+    })
+}
+
+/// The per-doom size rule of [`ReachIndex::doomed_contributions`]: whether
+/// one `row(p) ∩ D` scan of `words` words for each of `ancestors` partial
+/// ancestors beats one reverse walk per entry node, `entries` walks that
+/// each climb through about `entries + ancestors` nodes (the doomed nodes
+/// above an entry and below others, then the partial ancestors). Measured,
+/// a visit cost about three row words and walks visited fewer nodes than
+/// that estimate; with a factor of 6 the rule's total pricing time came
+/// within 6% of the best per-doom choice on `imagenet_like` and on random
+/// DAGs of 1 000–3 000 nodes with 5–50% extra parents (2 vCPUs, best of
+/// five per doom).
+fn rows_are_cheaper(ancestors: usize, entries: usize, words: usize) -> bool {
+    entries * (entries + ancestors) > 6 * ancestors * words
 }
 
 impl ReachIndex {
@@ -305,177 +383,240 @@ impl ReachIndex {
     }
 
     /// The frontier-repair primitive of the incremental rounded greedy
-    /// (Alg. 7 made aggregate): given the `doomed` subgraph `D` of a *no*
-    /// answer to query `q = doomed[0]` (collected by the caller as
-    /// `alive ∩ G_q` in BFS order from `q`; every member still marked in
-    /// `alive`), invokes `emit(p, w, c, absolute)` exactly once for every
-    /// alive non-doomed ancestor `p` of `D`. With `absolute == false` the
-    /// pair is the delta `(Σ_{d ∈ D ∩ G_p} w(d), |D ∩ G_p|)` the ancestor's
-    /// alive-subgraph aggregates shrink by; with `absolute == true` it is
-    /// the ancestor's **new** aggregate `(Σ_{v ∈ alive∖D ∩ G_p} w(v),
-    /// |alive∖D ∩ G_p|)` outright. Both forms land the caller on the
-    /// bit-identical post-repair state (`old = Σ_doomed + Σ_survivors` is an
-    /// exact `u64` partition), so each ancestor class uses whichever side of
-    /// the partition is cheaper to aggregate:
+    /// (Alg. 7's AdjustWeight, aggregated): a *no* answer at `q` dooms
+    /// `D = alive ∩ G_q`. Builds `D` as a word mask and invokes
+    /// `emit(p, Σ_{d ∈ D ∩ G_p} w(d), |D ∩ G_p|)` exactly once for every
+    /// alive non-doomed ancestor `p` of `D` — the delta its alive-subgraph
+    /// aggregates shrink by. Returns the mask and the indices of its
+    /// non-zero words, ascending, so the caller can clear `alive` one word
+    /// at a time.
     ///
+    /// `alive` must be ancestor-closed (a dead node's descendants are all
+    /// dead — what a run of *no* answers leaves) and contain `q`; `total`
+    /// is `D`'s own `(Σ w, |D|)`, i.e. `q`'s current alive-subgraph
+    /// aggregates. The cost follows what changes:
+    ///
+    /// * **the mask**: `alive ∩ row(q)` one word at a time when the index
+    ///   stores rows and `D` has more nodes than a row has words, an
+    ///   alive-pruned DFS from `q` otherwise (no O(n/64) scan without a
+    ///   stored row);
     /// * **ancestors of `q`** (the bulk, on taxonomy-shaped DAGs): `G_p ⊇
-    ///   G_q ⊇ D`, so each receives the full doomed total in O(1) — and
-    ///   since an ancestor of an ancestor of `q` is again an ancestor of
-    ///   `q`, no other walk ever needs to enter that region (walks prune at
-    ///   the mask losslessly);
-    /// * remaining *partial* ancestors (reaching some of `D` around `q`
-    ///   through shared descendants), closure tier: one word-level
-    ///   row ∩ doomed-mask walk each (delta form);
-    /// * partial ancestors, interval/BFS tiers: the paper's per-doomed-node
-    ///   reverse walks folded into per-ancestor accumulators (delta form)
-    ///   while `D` is the minority, or one survivor-side forward walk per
-    ///   ancestor (absolute form) when `D` is the majority — the expensive
-    ///   early-round kills aggregate what remains instead of what died.
+    ///   G_q ⊇ D`, so each receives `total` in O(1), in reverse-DFS order
+    ///   from `q`;
+    /// * **partial ancestors** (reaching some of `D` but not `q`): every
+    ///   such path enters `D` at an *entry node*, a doomed node other than
+    ///   `q` with in-degree ≥ 2 ([`Dag::multi_parent_mask`]), through a
+    ///   parent outside `D` — so one reverse DFS seeded at the entries
+    ///   (ascending ids) over non-doomed nodes, fenced at the ancestors of
+    ///   `q`, finds them all, in discovery order. A doom without entry
+    ///   nodes (any doom on a tree) has none and stops here. The partial
+    ///   ancestors only reach `U`, the doomed nodes below the entries, and
+    ///   are priced by one of two strategies with identical results:
+    ///   Alg. 7's per-node reverse walks over `U` and the partial
+    ///   ancestors, accumulated per ancestor — coalesced to one walk per
+    ///   entry, since every other member of `U` has a single parent and
+    ///   so the same partial ancestors as the entry its parents lead up
+    ///   to; or, when the closure stores rows and a per-doom size rule
+    ///   says so, one `row(p) ∩ D` word scan per partial ancestor `p`. The
+    ///   rule weighs about `|E|·(|E| + |A|)` walk visits against
+    ///   `|A|·n/64` row words (`E` the entries, `A` the partial
+    ///   ancestors), both known before any pricing work.
     ///
     /// Either way the caller journals `O(|ancestors|)` entries, never one
-    /// per (ancestor, doomed) pair, and ancestors are emitted in the same
-    /// deterministic order under every backend (ancestors of `q` in
-    /// reverse-DFS order from `q`, then partial ancestors in discovery
-    /// order of one pruned multi-source reverse DFS from `D`).
-    pub fn doomed_contributions(
+    /// per (ancestor, doomed) pair, and the emission order is the same
+    /// under every backend and strategy (ancestors of `q`, then partial
+    /// ancestors in entry-seeded discovery order).
+    #[allow(clippy::too_many_arguments)]
+    pub fn doomed_contributions<'s>(
         &self,
         dag: &Dag,
-        doomed: &[NodeId],
+        q: NodeId,
+        total: (u64, u32),
         alive: &NodeBitSet,
         weight: &[u64],
-        scratch: &mut ReachScratch,
-        mut emit: impl FnMut(NodeId, u64, u32, bool),
-    ) {
-        let n = dag.node_count();
-        scratch.ensure(n);
-        debug_assert!(!doomed.is_empty(), "a no-answer dooms at least q");
-        debug_assert!(doomed.iter().all(|&d| alive.contains(d)));
-        let q = doomed[0];
+        scratch: &'s mut ReachScratch,
+        mut emit: impl FnMut(NodeId, u64, u32),
+    ) -> (&'s NodeBitSet, &'s [u32]) {
+        scratch.ensure(dag.node_count());
+        debug_assert!(alive.contains(q));
+        let s = scratch;
 
-        // Mark D and total it once.
-        scratch.row.clear();
-        let mut total_w = 0u64;
-        for &d in doomed {
-            scratch.row.insert(d);
-            total_w += weight[d.index()];
+        // D = alive ∩ G_q, with its non-zero words listed. A stored row
+        // costs a pass over all n/64 words (about 5 ns a word on
+        // `imagenet_like`, whose rows are rarely cached), so it is read
+        // only when D has more nodes than the row has words; a smaller D
+        // is cheaper to walk.
+        s.words.clear();
+        let words = alive.word_count();
+        if let Some(row) = self.stored_mask(q).filter(|_| total.1 as usize > words) {
+            for i in 0..words {
+                let d = alive.word(i) & row.word(i);
+                s.row.set_word(i, d);
+                if d != 0 {
+                    s.words.push(i as u32);
+                }
+            }
+        } else {
+            s.row.clear();
+            s.stack.clear();
+            s.words.push((q.index() >> 6) as u32);
+            s.row.insert(q);
+            s.stack.push(q);
+            while let Some(u) = s.stack.pop() {
+                for &c in dag.children(u) {
+                    if alive.contains(c) && !s.row.contains(c) {
+                        if s.row.word(c.index() >> 6) == 0 {
+                            s.words.push((c.index() >> 6) as u32);
+                        }
+                        s.row.insert(c);
+                        s.stack.push(c);
+                    }
+                }
+            }
+            s.words.sort_unstable();
         }
-        let total_c = doomed.len() as u32;
 
-        // Full-delta fast path: every ancestor of q contains all of D
-        // (G_p ⊇ G_q ⊇ D). A proper ancestor of q is alive (a dead node's
-        // descendants are all dead) and never doomed (that would make a
-        // cycle). Emitted in reverse-DFS order from q; the mask also lets
-        // every later walk prune — no ancestor of an ancestor of q can be
+        // Full deltas: every ancestor of q contains all of D. A proper
+        // ancestor of q is alive (alive is ancestor-closed) and never
+        // doomed (that would make a cycle). The fence also keeps every
+        // later walk out of this region: nothing above an ancestor of q is
         // a partial ancestor.
-        scratch.anc.clear();
-        scratch.stack.clear();
-        scratch.anc.insert(q);
-        scratch.stack.push(q);
-        while let Some(u) = scratch.stack.pop() {
+        s.fence.clear();
+        s.stack.clear();
+        s.stack.push(q);
+        while let Some(u) = s.stack.pop() {
             for &p in dag.parents(u) {
-                if !scratch.anc.contains(p) {
-                    debug_assert!(alive.contains(p) && !scratch.row.contains(p));
-                    scratch.anc.insert(p);
-                    emit(p, total_w, total_c, false);
-                    scratch.stack.push(p);
+                if !s.fence.contains(p) {
+                    debug_assert!(alive.contains(p) && !s.row.contains(p));
+                    s.fence.insert(p);
+                    emit(p, total.0, total.1);
+                    s.stack.push(p);
                 }
             }
         }
 
-        // Partial ancestors: alive, non-doomed, reach some of D around q.
-        // One multi-source reverse DFS from D over alive nodes, pruned at
-        // the ancestors-of-q mask (lossless: no partial ancestor sits above
-        // an ancestor of q).
-        scratch.visited.clear();
-        scratch.stack.clear();
-        scratch.affected.clear();
-        for &d in doomed {
-            scratch.visited.insert(d);
-            scratch.stack.push(d);
+        // Partial ancestors, from the entry nodes only. Parents of alive
+        // nodes are alive, so the search needs no alive test.
+        let multi = dag.multi_parent_mask();
+        s.affected.clear();
+        s.visited.clear();
+        s.stack.extend(entry_nodes(&s.words, &s.row, multi, q));
+        let entries = s.stack.len();
+        #[cfg(test)]
+        {
+            s.searched += entries;
         }
-        while let Some(u) = scratch.stack.pop() {
+        while let Some(u) = s.stack.pop() {
             for &p in dag.parents(u) {
-                if alive.contains(p) && !scratch.anc.contains(p) && scratch.visited.insert(p) {
-                    if !scratch.row.contains(p) {
-                        scratch.affected.push(p);
+                if !s.row.contains(p) && !s.fence.contains(p) && s.visited.insert(p) {
+                    #[cfg(test)]
+                    {
+                        s.searched += 1;
                     }
-                    scratch.stack.push(p);
+                    s.affected.push(p);
+                    s.stack.push(p);
                 }
             }
         }
-        if scratch.affected.is_empty() {
-            return;
+        if s.affected.is_empty() {
+            return (&s.row, &s.words);
         }
 
-        match self {
-            ReachIndex::Closure(c) => {
-                for i in 0..scratch.affected.len() {
-                    let p = scratch.affected[i];
-                    let (dw, dc) = c
-                        .descendants(p)
-                        .intersection_weight_count(&scratch.row, weight);
-                    emit(p, dw, dc, false);
-                }
-            }
-            _ if doomed.len() * 2 > alive.count() => {
-                // Doomed majority: aggregate the survivor side. One forward
-                // walk per partial ancestor over `alive ∖ D`, emitting the
-                // new aggregates outright — fewer (ancestor, node) pairs
-                // than walking the doomed side.
-                for i in 0..scratch.affected.len() {
-                    let p = scratch.affected[i];
-                    scratch.visited.clear();
-                    scratch.visited.insert(p);
-                    scratch.stack.push(p);
-                    let mut new_w = weight[p.index()];
-                    let mut new_c = 1u32;
-                    while let Some(u) = scratch.stack.pop() {
+        let rows =
+            self.as_closure().is_some() && rows_are_cheaper(s.affected.len(), entries, words);
+        match s.forced_pricing().unwrap_or(if rows {
+            Pricing::AncestorRows
+        } else {
+            Pricing::DoomedWalks
+        }) {
+            Pricing::DoomedWalks => {
+                // U, the doomed nodes below the entries, joins the fence.
+                // A member of U that is not an entry has one parent, also
+                // in U, so its parents lead up to exactly one entry, and
+                // its ancestors outside D are that entry's: the entry's
+                // walk carries the totals of this *tail* of members,
+                // parked in the entry's (doomed, hence unused)
+                // accumulators.
+                for e in entry_nodes(&s.words, &s.row, multi, q) {
+                    s.fence.insert(e);
+                    s.stack.push(e);
+                    let (mut tw, mut tc) = (0u64, 0u32);
+                    while let Some(u) = s.stack.pop() {
+                        tw += weight[u.index()];
+                        tc += 1;
                         for &c in dag.children(u) {
-                            if alive.contains(c)
-                                && !scratch.row.contains(c)
-                                && scratch.visited.insert(c)
-                            {
-                                new_w += weight[c.index()];
-                                new_c += 1;
-                                scratch.stack.push(c);
+                            if s.row.contains(c) && !multi.contains(c) {
+                                s.fence.insert(c);
+                                s.stack.push(c);
                             }
                         }
                     }
-                    emit(p, new_w, new_c, true);
+                    s.acc_weight[e.index()] = tw;
+                    s.acc_count[e.index()] = tc;
+                }
+                // Alg. 7's reverse walks, one per entry. Every parent of a
+                // member of U or of a partial ancestor is doomed or fenced
+                // or both or neither, and the walks move exactly to the
+                // parents whose two bits agree (U: both set; partial
+                // ancestors: both clear).
+                for e in entry_nodes(&s.words, &s.row, multi, q) {
+                    let dw = std::mem::take(&mut s.acc_weight[e.index()]);
+                    let dc = std::mem::take(&mut s.acc_count[e.index()]);
+                    s.visited.clear();
+                    s.visited.insert(e);
+                    s.stack.push(e);
+                    while let Some(x) = s.stack.pop() {
+                        for &p in dag.parents(x) {
+                            let doomed = s.row.contains(p);
+                            if doomed == s.fence.contains(p) && s.visited.insert(p) {
+                                if !doomed {
+                                    s.acc_weight[p.index()] += dw;
+                                    s.acc_count[p.index()] += dc;
+                                }
+                                s.stack.push(p);
+                            }
+                        }
+                    }
+                }
+                for &p in &s.affected {
+                    let dw = std::mem::take(&mut s.acc_weight[p.index()]);
+                    let dc = std::mem::take(&mut s.acc_count[p.index()]);
+                    emit(p, dw, dc);
                 }
             }
-            _ => {
-                // Doomed minority: per-doomed-node reverse walks (Alg. 7),
-                // pruned at the ancestors-of-q mask and accumulated per
-                // ancestor instead of emitted per pair.
-                for &d in doomed {
-                    let dw = weight[d.index()];
-                    scratch.visited.clear();
-                    scratch.visited.insert(d);
-                    scratch.stack.push(d);
-                    while let Some(u) = scratch.stack.pop() {
-                        for &p in dag.parents(u) {
-                            if alive.contains(p)
-                                && !scratch.anc.contains(p)
-                                && scratch.visited.insert(p)
-                            {
-                                if !scratch.row.contains(p) {
-                                    scratch.acc_weight[p.index()] += dw;
-                                    scratch.acc_count[p.index()] += 1;
-                                }
-                                scratch.stack.push(p);
-                            }
+            Pricing::AncestorRows => {
+                for i in 0..s.affected.len() {
+                    let p = s.affected[i];
+                    let (dw, dc) = match self {
+                        ReachIndex::Closure(c) => {
+                            c.descendants(p).intersection_weight_count(&s.row, weight)
                         }
-                    }
-                }
-                for i in 0..scratch.affected.len() {
-                    let p = scratch.affected[i];
-                    let dw = std::mem::take(&mut scratch.acc_weight[p.index()]);
-                    let dc = std::mem::take(&mut scratch.acc_count[p.index()]);
-                    emit(p, dw, dc, false);
+                        // Forced by tests only: a forward walk over alive
+                        // `G_p`, totalling its doomed members.
+                        _ => {
+                            s.visited.clear();
+                            s.visited.insert(p);
+                            s.stack.push(p);
+                            let (mut dw, mut dc) = (0u64, 0u32);
+                            while let Some(u) = s.stack.pop() {
+                                for &c in dag.children(u) {
+                                    if alive.contains(c) && s.visited.insert(c) {
+                                        if s.row.contains(c) {
+                                            dw += weight[c.index()];
+                                            dc += 1;
+                                        }
+                                        s.stack.push(c);
+                                    }
+                                }
+                            }
+                            (dw, dc)
+                        }
+                    };
+                    emit(p, dw, dc);
                 }
             }
         }
+        (&s.row, &s.words)
     }
 
     /// `(Σ weight[v], |G_u|)` over the full descendant set `G_u` — the base
@@ -609,155 +750,228 @@ mod tests {
         }
     }
 
-    /// Applies `doomed_contributions` emissions to copies of the aggregates
-    /// and returns the repaired `(wt, cnt)` plus the emission order.
-    fn apply_contributions(
+    /// `(w̃, ñ)` of every node of `alive` over `alive ∩ G_v`, by brute
+    /// force; zero elsewhere.
+    fn aggregates(dag: &Dag, alive: &NodeBitSet, weight: &[u64]) -> (Vec<u64>, Vec<u32>) {
+        let n = dag.node_count();
+        let mut wt = vec![0u64; n];
+        let mut cnt = vec![0u32; n];
+        for v in alive.iter() {
+            for d in dag.descendants(v) {
+                if alive.contains(d) {
+                    wt[v.index()] += weight[d.index()];
+                    cnt[v.index()] += 1;
+                }
+            }
+        }
+        (wt, cnt)
+    }
+
+    /// One doomed repair at `q` and what it produced.
+    struct Doom {
+        /// `(w̃, ñ)` with every emitted delta applied.
+        wt: Vec<u64>,
+        cnt: Vec<u32>,
+        /// The emissions, in order.
+        emitted: Vec<(NodeId, u64, u32)>,
+        mask: NodeBitSet,
+        words: Vec<u32>,
+        /// The partial-ancestor search's work counter.
+        searched: usize,
+    }
+
+    fn doom(
         index: &ReachIndex,
         dag: &Dag,
-        doomed: &[NodeId],
+        q: NodeId,
         alive: &NodeBitSet,
         weight: &[u64],
-        wt: &[u64],
-        cnt: &[u32],
-    ) -> (Vec<u64>, Vec<u32>, Vec<NodeId>) {
-        let mut wt = wt.to_vec();
-        let mut cnt = cnt.to_vec();
-        let mut order = Vec::new();
+        pricing: Option<Pricing>,
+    ) -> Doom {
+        let (mut wt, mut cnt) = aggregates(dag, alive, weight);
         let mut scratch = ReachScratch::new(dag.node_count());
-        index.doomed_contributions(
-            dag,
-            doomed,
-            alive,
-            weight,
-            &mut scratch,
-            |p, wv, cv, abs| {
-                order.push(p);
-                if abs {
-                    wt[p.index()] = wv;
-                    cnt[p.index()] = cv;
-                } else {
-                    wt[p.index()] -= wv;
-                    cnt[p.index()] -= cv;
+        scratch.pricing = pricing;
+        let mut emitted = Vec::new();
+        let total = (wt[q.index()], cnt[q.index()]);
+        let (mask, words) =
+            index.doomed_contributions(dag, q, total, alive, weight, &mut scratch, |p, w, c| {
+                emitted.push((p, w, c))
+            });
+        let (mask, words) = (mask.clone(), words.to_vec());
+        for &(p, w, c) in &emitted {
+            wt[p.index()] -= w;
+            cnt[p.index()] -= c;
+        }
+        Doom {
+            wt,
+            cnt,
+            emitted,
+            mask,
+            words,
+            searched: scratch.searched,
+        }
+    }
+
+    /// Dooms `q` under every backend, with the size rule and with each
+    /// pricing strategy forced, asserting the mask, its word list and the
+    /// repaired aggregates against brute force and the emissions and search
+    /// counts against each other. Returns the repair.
+    fn check_doom(dag: &Dag, alive: &NodeBitSet, q: NodeId, weight: &[u64]) -> Doom {
+        let mut doomed = NodeBitSet::empty(dag.node_count());
+        for d in dag.descendants(q) {
+            if alive.contains(d) {
+                doomed.insert(d);
+            }
+        }
+        let want_words: Vec<u32> = (0..doomed.word_count())
+            .filter(|&i| doomed.word(i) != 0)
+            .map(|i| i as u32)
+            .collect();
+        let mut survivors = alive.clone();
+        survivors.subtract(&doomed);
+        let (want_wt, want_cnt) = aggregates(dag, &survivors, weight);
+        let mut reference: Option<Doom> = None;
+        for index in backends(dag) {
+            for pricing in [
+                None,
+                Some(Pricing::DoomedWalks),
+                Some(Pricing::AncestorRows),
+            ] {
+                let got = doom(&index, dag, q, alive, weight, pricing);
+                let label = format!("{} {pricing:?} q={q}", index.backend_name());
+                assert_eq!(got.mask, doomed, "{label} mask");
+                assert_eq!(got.words, want_words, "{label} words");
+                for v in survivors.iter() {
+                    assert_eq!(got.wt[v.index()], want_wt[v.index()], "{label} wt {v}");
+                    assert_eq!(got.cnt[v.index()], want_cnt[v.index()], "{label} cnt {v}");
                 }
-            },
-        );
-        (wt, cnt, order)
+                // Emission order and deltas identical across backends and
+                // strategies (what keeps journals deterministic), and so is
+                // the search's work.
+                match &reference {
+                    None => reference = Some(got),
+                    Some(want) => {
+                        assert_eq!(want.emitted, got.emitted, "{label} emissions");
+                        assert_eq!(want.searched, got.searched, "{label} searched");
+                    }
+                }
+            }
+        }
+        reference.unwrap()
     }
 
     #[test]
     fn doomed_contributions_identical_across_backends_and_strategies() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(21);
-        let g = random_dag(&DagConfig::bushy(140, 0.2), &mut rng);
-        let n = g.node_count();
-        let weight: Vec<u64> = (0..n as u64).map(|i| i * 3 + 1).collect();
-        let mut scratch = ReachScratch::new(n);
-
-        // A realistic mid-search state: kill G_a, then doom G_b — covering
-        // both the doomed-minority (per-node walks) and doomed-majority
-        // (survivor-side recompute) strategies depending on |G_b|.
-        for (a_raw, b_raw) in [(3usize, 9usize), (9, 1), (50, 2), (2, 51)] {
-            let a = NodeId::new(a_raw % n);
-            let b0 = NodeId::new(b_raw % n);
-            let mut alive = NodeBitSet::full(n);
-            for d in g.descendants(a) {
-                alive.remove(d);
+        for (seed, frac) in [(21, 0.2), (22, 0.02)] {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let g = random_dag(&DagConfig::bushy(140, frac), &mut rng);
+            let n = g.node_count();
+            let weight: Vec<u64> = (0..n as u64).map(|i| i * 3 + 1).collect();
+            // A mid-search state: kill G_a, then doom G_b (or the root's
+            // first alive child when b died with G_a).
+            for (a, b) in [(3usize, 9usize), (9, 1), (50, 2), (2, 51), (70, 0)] {
+                let mut alive = NodeBitSet::full(n);
+                for d in g.descendants(NodeId::new(a)) {
+                    alive.remove(d);
+                }
+                let b = Some(NodeId::new(b))
+                    .filter(|&b| alive.contains(b) && b != g.root())
+                    .or_else(|| {
+                        g.children(g.root())
+                            .iter()
+                            .copied()
+                            .find(|&c| alive.contains(c))
+                    })
+                    .unwrap();
+                check_doom(&g, &alive, b, &weight);
             }
-            let b = if alive.contains(b0) { b0 } else { g.root() };
-            // Current aggregates over the alive set (brute force).
-            let mut wt = vec![0u64; n];
-            let mut cnt = vec![0u32; n];
-            for v in g.nodes() {
-                if !alive.contains(v) {
-                    continue;
-                }
-                for d in g.descendants(v) {
-                    if alive.contains(NodeId::new(d.index())) {
-                        wt[v.index()] += weight[d.index()];
-                        cnt[v.index()] += 1;
-                    }
-                }
+            if frac > 0.1 {
+                continue;
             }
-            // Doomed set: alive ∩ G_b.
-            let doomed: Vec<NodeId> = g
-                .descendants(b)
-                .into_iter()
-                .filter(|&d| alive.contains(d))
-                .collect();
-            // Expected post-repair aggregates (brute force over survivors).
-            let mut survivor = alive.clone();
-            for &d in &doomed {
-                survivor.remove(d);
-            }
-            let mut want_wt = wt.clone();
-            let mut want_cnt = cnt.clone();
-            for v in g.nodes() {
-                if !survivor.contains(v) {
-                    continue;
-                }
-                let mut nw = 0u64;
-                let mut nc = 0u32;
-                let row = ReachIndex::Bfs.descendants(&g, v, &mut scratch).clone();
-                for d in row.iter() {
-                    if survivor.contains(d) {
-                        nw += weight[d.index()];
-                        nc += 1;
-                    }
-                }
-                want_wt[v.index()] = nw;
-                want_cnt[v.index()] = nc;
-            }
-
-            let mut reference: Option<(Vec<u64>, Vec<u32>, Vec<NodeId>)> = None;
-            for index in backends(&g) {
-                let got = apply_contributions(&index, &g, &doomed, &alive, &weight, &wt, &cnt);
-                // Repaired aggregates match brute force on every survivor.
-                for v in g.nodes() {
-                    if survivor.contains(v) {
-                        assert_eq!(
-                            got.0[v.index()],
-                            want_wt[v.index()],
-                            "{} wt {v}",
-                            index.backend_name()
-                        );
-                        assert_eq!(
-                            got.1[v.index()],
-                            want_cnt[v.index()],
-                            "{} cnt {v}",
-                            index.backend_name()
-                        );
-                    }
-                }
-                // Emission order and per-ancestor touches identical across
-                // backends (what keeps journals deterministic).
-                match &reference {
-                    None => reference = Some(got),
-                    Some(want) => {
-                        assert_eq!(want.2, got.2, "{} order", index.backend_name());
-                        assert_eq!(want.0, got.0, "{} wt array", index.backend_name());
-                        assert_eq!(want.1, got.1, "{} cnt array", index.backend_name());
-                    }
-                }
-            }
+            // A doom with no entry nodes on the near-tree: the largest G_q
+            // whose only multi-parent member, if any, is q itself.
+            let multi = g.multi_parent_mask();
+            assert!(multi.count() > 0, "the near-tree has cross edges");
+            let q = g
+                .nodes()
+                .filter(|&q| q != g.root())
+                .filter(|&q| {
+                    g.descendants(q)
+                        .iter()
+                        .all(|&d| d == q || !multi.contains(d))
+                })
+                .max_by_key(|&q| (multi.contains(q), g.descendants(q).len()))
+                .unwrap();
+            assert!(g.descendants(q).len() > 2 && multi.contains(q), "q={q}");
+            let alive = NodeBitSet::full(n);
+            let got = check_doom(&g, &alive, q, &weight);
+            assert_eq!(got.searched, 0);
+            let mut touched: Vec<NodeId> = got.emitted.iter().map(|e| e.0).collect();
+            touched.sort_unstable();
+            let mut want = g.ancestors(q);
+            want.retain(|&p| p != q);
+            want.sort_unstable();
+            assert_eq!(touched, want, "only the ancestors of q are repaired");
         }
     }
 
     #[test]
     fn doomed_contributions_touches_exactly_the_alive_ancestors() {
         let g = diamond();
-        let n = g.node_count();
-        let weight = vec![1u64; n];
-        let alive = NodeBitSet::full(n);
-        let wt: Vec<u64> = g.nodes().map(|v| g.descendants(v).len() as u64).collect();
-        let cnt: Vec<u32> = wt.iter().map(|&x| x as u32).collect();
-        for index in backends(&g) {
-            // Doom G_3 = {3, 4}: alive ancestors are {0, 1, 2}.
-            let doomed = vec![NodeId::new(3), NodeId::new(4)];
-            let (_, _, order) =
-                apply_contributions(&index, &g, &doomed, &alive, &weight, &wt, &cnt);
-            let mut touched: Vec<usize> = order.iter().map(|p| p.index()).collect();
-            touched.sort_unstable();
-            assert_eq!(touched, vec![0, 1, 2], "{}", index.backend_name());
-        }
+        let weight = vec![1u64; g.node_count()];
+        let alive = NodeBitSet::full(g.node_count());
+        // Doom G_3 = {3, 4}: the alive ancestors are {0, 1, 2}, and 3 is an
+        // entry node (parents 1 and 2) but q itself, so nothing is partial.
+        let got = check_doom(&g, &alive, NodeId::new(3), &weight);
+        let mut touched: Vec<usize> = got.emitted.iter().map(|e| e.0.index()).collect();
+        touched.sort_unstable();
+        assert_eq!(touched, vec![0, 1, 2]);
+        // Doom G_2 = {2, 3, 4, 5}: 1 reaches 3 around q through the entry 3.
+        let got = check_doom(&g, &alive, NodeId::new(2), &weight);
+        let ids: Vec<usize> = got.emitted.iter().map(|e| e.0.index()).collect();
+        assert_eq!(ids, vec![0, 1]);
+        assert_eq!(got.emitted[1], (NodeId::new(1), 2, 2));
+    }
+
+    /// The partial-ancestor search costs the entry nodes' chains, not the
+    /// doomed set: seeding it from all of `D` would push every doomed node.
+    #[test]
+    fn partial_ancestor_search_visits_only_entry_chains() {
+        let weight: Vec<u64> = (1..=17).collect();
+        // G_4 = {4, 5..=14, 15, 16} holds no multi-parent node (3 has two
+        // parents, outside it): the search pushes nothing.
+        let mut edges = vec![(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (4, 15), (15, 16)];
+        edges.extend((5..=14).map(|c| (4, c)));
+        let g = dag_from_edges(17, &edges).unwrap();
+        let alive = NodeBitSet::full(17);
+        let got = check_doom(&g, &alive, NodeId::new(4), &weight);
+        let ids: Vec<u32> = got.emitted.iter().map(|e| e.0 .0).collect();
+        assert_eq!(ids, vec![2, 0]);
+        assert_eq!(got.searched, 0);
+
+        // G_2 = {2..=13}, entered once, by the cross edge 16 → 13 from the
+        // chain 0 → 14 → 15 → 16: the search pushes the entry and the
+        // three chain nodes, which receive 13's weight alone.
+        let mut edges = vec![
+            (0, 1),
+            (1, 2),
+            (3, 13),
+            (0, 14),
+            (14, 15),
+            (15, 16),
+            (16, 13),
+        ];
+        edges.extend((3..=12).map(|c| (2, c)));
+        let g = dag_from_edges(17, &edges).unwrap();
+        let got = check_doom(&g, &alive, NodeId::new(2), &weight);
+        let total = ((3..=14).sum::<u64>(), 12);
+        let w13 = (weight[13], 1);
+        let want: Vec<(u32, (u64, u32))> =
+            vec![(1, total), (0, total), (16, w13), (15, w13), (14, w13)];
+        let got_emitted: Vec<(u32, (u64, u32))> =
+            got.emitted.iter().map(|&(p, w, c)| (p.0, (w, c))).collect();
+        assert_eq!(got_emitted, want);
+        assert_eq!(got.searched, 4);
     }
 
     #[test]
