@@ -50,13 +50,31 @@
 //!
 //! Rollback restores the aggregates, the alive set and the root from the
 //! journal and **invalidates** the frontier: the next `select` rebuilds
-//! it. The one frontier worth keeping warm is the *base* frontier, the
-//! first round's: a rebuild that runs with an empty journal copies the
-//! cone and boundary into a base snapshot, and a pop that empties the
-//! journal reinstates it. A cache-token `reset` therefore lands on a
-//! warm base frontier, letting a pooled policy skip the cold root BFS.
+//! it. The frontiers worth keeping warm are the first rounds', which every
+//! session on an instance repeats: the policy is deterministic in (DAG,
+//! prior, answers), so all sessions ask the same first question and each
+//! answer leads to the same next state. The rebuild that derives the base
+//! frontier (empty journal) therefore writes an **opening book**: for
+//! every answer prefix up to `BOOK_DEPTH` answers under a non-zero cache
+//! token (only the empty prefix without one), a node holding the state's
+//! post-`select` cone and boundary, its count mode and its pick, plus the
+//! redo deltas of the answer that leads there — the `wt`/`cnt` slots and
+//! alive words the step wrote, with their *new* values, read off the
+//! journal's top step (`select` writes none of them). The book is
+//! immutable and sits in an `Arc`, so every clone of a warm prototype
+//! shares one. An `observe` at a book node whose query is the node's pick
+//! replays the child's deltas through the journal (it logs each slot's
+//! current value before writing the stored one, so undo, token reset and
+//! crash recovery cannot tell it from a computed step) and moves the
+//! book cursor; the next `select` returns the stored pick without a scan.
+//! Any other `observe` first swaps the node's lists and tags in as the
+//! live frontier, then takes the ordinary path. Each journal step records
+//! the book node it started from, so a pop back onto a booked state —
+//! including the one that empties the journal — lands on a warm frontier,
+//! and a cache-token `reset` lands on the book's root.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use aigs_graph::{NodeBitSet, NodeId, ReachIndex, ReachScratch, VisitedSet};
 
@@ -70,16 +88,61 @@ const FR_BOUNDARY: u8 = 1;
 /// `fr_state` tag: heavy cone member.
 const FR_CONE: u8 = 2;
 
+/// The payload of one journal step.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// The root before the step.
+    root: NodeId,
+    /// The book node the step started from, if the state was booked.
+    book: Option<u32>,
+}
+
+/// One state of the opening book. Node 0 is the base state (empty
+/// journal); every other node is the state one booked answer below its
+/// parent.
+#[derive(Debug)]
+struct BookNode {
+    /// The state's known-yes root.
+    root: NodeId,
+    /// The state's balancing mode (`w̃(root) == 0`).
+    count_mode: bool,
+    /// What `select` returns in this state.
+    pick: NodeId,
+    /// The post-`select` cone and boundary, with exact cached scores.
+    cone: Vec<(NodeId, u64)>,
+    boundary: Vec<(NodeId, u64)>,
+    /// Redo deltas of the answer at the parent's pick that leads here:
+    /// `(slot, new value)` for `wt`, `cnt` and the alive words.
+    wt: Vec<(u32, u64)>,
+    cnt: Vec<(u32, u32)>,
+    words: Vec<(u32, u64)>,
+    /// Child per answer (`[no, yes]`); 0 when that answer is not booked
+    /// (node 0 is never a child).
+    next: [u32; 2],
+}
+
+impl BookNode {
+    /// Inline and heap bytes.
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        size_of::<Self>()
+            + (self.cone.capacity() + self.boundary.capacity()) * size_of::<(NodeId, u64)>()
+            + (self.wt.capacity() + self.words.capacity()) * size_of::<(u32, u64)>()
+            + self.cnt.capacity() * size_of::<(u32, u32)>()
+    }
+}
+
 /// Efficient rounded-greedy policy for DAGs (also correct on trees).
 ///
 /// Rollback state lives in a [`StepJournal`]: `observe` records only the
 /// `(index, old value)` deltas it writes (one aggregated repair per alive
 /// ancestor of the doomed subgraph, word-granular alive-bitset clears) plus
-/// the previous root. `unobserve` replays them — O(Δ) per query, no
-/// allocation on the hot path — and invalidates the frontier. Under a
-/// stable [`SearchContext::cache_token`], `reset` unwinds the previous
-/// session's journal instead of recomputing (or cloning) the O(n·m) base
-/// state, and lands on the warm base frontier snapshot.
+/// the previous root and book node. `unobserve` replays them — O(Δ) per
+/// query, no allocation on the hot path — and invalidates the frontier
+/// unless it lands on a booked state. Under a stable
+/// [`SearchContext::cache_token`], `reset` unwinds the previous session's
+/// journal instead of recomputing (or cloning) the O(n·m) base state, and
+/// lands on the opening book's root; clones share the book.
 #[derive(Debug, Clone)]
 pub struct GreedyDagPolicy {
     /// Rounded node weights `w(v)` (Eq. 1).
@@ -95,13 +158,21 @@ pub struct GreedyDagPolicy {
     /// Alive set as a bitset: deletions journal whole 64-bit words.
     alive: NodeBitSet,
     root: NodeId,
-    /// One step per `observe`; the payload is the step's previous root.
-    journal: StepJournal<NodeId>,
+    /// One step per `observe`.
+    journal: StepJournal<Step>,
     /// Token the current base state (`w`/`wt`/`cnt`) was derived under.
     base_token: u64,
     /// From-scratch differential oracle: when set, `select` re-runs the
     /// pruned BFS every round and no frontier state is kept.
     reference: bool,
+
+    /// The opening book, shared by every clone of the instance that wrote
+    /// it; `None` until the base frontier is derived.
+    book: Option<Arc<[BookNode]>>,
+    /// The book node describing the current state, if any. While set, the
+    /// node's lists are the frontier and the live lists below are stale
+    /// (but still tag-consistent).
+    at_book: Option<u32>,
 
     // Persistent frontier (valid when `fr_valid` and `fr_root`/
     // `fr_count_mode` match the current root and mode).
@@ -123,14 +194,6 @@ pub struct GreedyDagPolicy {
     /// May contain dead or promoted entries (skipped via
     /// `alive`/`fr_state`); same score-caching contract as `cone`.
     boundary: Vec<(NodeId, u64)>,
-    /// The base frontier (empty journal), copied from `cone`/`boundary` by
-    /// the rebuild that derived it and reinstated by the pop that empties
-    /// the journal.
-    base_cone: Vec<(NodeId, u64)>,
-    base_boundary: Vec<(NodeId, u64)>,
-    /// The base snapshot's `count_mode`; `None` while no snapshot is held
-    /// (a full reset clears it).
-    base_mode: Option<bool>,
     /// Set whenever cached list scores may have drifted from `wt`/`cnt`,
     /// i.e. after a *no* repair. The next incremental scan refreshes every
     /// kept entry (exactly the loads the scan performed unconditionally
@@ -147,13 +210,29 @@ pub struct GreedyDagPolicy {
     requal: Vec<NodeId>,
     /// Shared-reach scratch for base aggregation and doomed repairs.
     reach: ReachScratch,
-    /// Pruned-BFS runs so far (`rebuild_frontier` calls, in either mode):
-    /// the exact work counter the re-root drill and warm-reset tests pin.
+    /// Pruned-BFS runs so far (`rebuild_frontier` calls, in either mode)
+    /// outside book writing: the exact work counter the re-root drill and
+    /// warm-reset tests pin.
     #[cfg(test)]
     rebuilds: usize,
+    /// `doomed_contributions` calls so far, outside book writing.
+    #[cfg(test)]
+    dooms: usize,
+    /// Pruned-BFS runs spent writing opening books.
+    #[cfg(test)]
+    book_rebuilds: usize,
 }
 
 impl GreedyDagPolicy {
+    /// Answers the opening book covers under a cache token: it serves the
+    /// `select`s of rounds 0 to `BOOK_DEPTH` and the `observe`s of rounds 0
+    /// to `BOOK_DEPTH - 1`. Depth 2 covers the rounds whose *no* repairs
+    /// and frontier scans are costliest on `imagenet_like` (each about
+    /// 2–4 µs in rounds 0 and 1 against at most ~1 µs from round 4 on);
+    /// every extra level doubles the book for a saving that keeps halving.
+    #[doc(hidden)]
+    pub const BOOK_DEPTH: usize = 2;
+
     /// New, un-reset policy with the incremental frontier enabled.
     pub fn new() -> Self {
         Self::build(false)
@@ -179,15 +258,14 @@ impl GreedyDagPolicy {
             journal: StepJournal::new(),
             base_token: 0,
             reference,
+            book: None,
+            at_book: None,
             fr_valid: false,
             fr_root: NodeId::SENTINEL,
             fr_count_mode: false,
             fr_state: Vec::new(),
             cone: Vec::new(),
             boundary: Vec::new(),
-            base_cone: Vec::new(),
-            base_boundary: Vec::new(),
-            base_mode: None,
             fr_rescore: false,
             visited: VisitedSet::new(0),
             queue: VecDeque::new(),
@@ -196,6 +274,10 @@ impl GreedyDagPolicy {
             reach: ReachScratch::new(0),
             #[cfg(test)]
             rebuilds: 0,
+            #[cfg(test)]
+            dooms: 0,
+            #[cfg(test)]
+            book_rebuilds: 0,
         }
     }
 
@@ -209,6 +291,14 @@ impl GreedyDagPolicy {
     /// differential harness; not part of the stable API.
     #[doc(hidden)]
     pub fn frontier_snapshot(&self) -> (Vec<u32>, Vec<u32>) {
+        if let Some(node) = self.book_node() {
+            let sorted = |list: &[(NodeId, u64)]| {
+                let mut v: Vec<u32> = list.iter().map(|(x, _)| x.0).collect();
+                v.sort_unstable();
+                v
+            };
+            return (sorted(&node.cone), sorted(&node.boundary));
+        }
         if !self.fr_valid {
             return (Vec::new(), Vec::new());
         }
@@ -258,10 +348,33 @@ impl GreedyDagPolicy {
     #[doc(hidden)]
     pub fn frontier_live(&self) -> bool {
         !self.reference
-            && self.fr_valid
             && !self.root.is_sentinel()
-            && self.fr_root == self.root
-            && self.fr_count_mode == (self.wt[self.root.index()] == 0)
+            && (self.at_book.is_some()
+                || (self.fr_valid
+                    && self.fr_root == self.root
+                    && self.fr_count_mode == (self.wt[self.root.index()] == 0)))
+    }
+
+    /// Whether `self` and `other` share one opening book (both hold one,
+    /// behind the same `Arc`). Test-facing introspection.
+    #[doc(hidden)]
+    pub fn shares_opening_book(&self, other: &Self) -> bool {
+        matches!((&self.book, &other.book), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+    }
+
+    /// Heap and inline bytes of the opening book (0 without one).
+    /// Test-facing introspection.
+    #[doc(hidden)]
+    pub fn opening_book_bytes(&self) -> usize {
+        self.book
+            .as_deref()
+            .map_or(0, |book| book.iter().map(BookNode::bytes).sum())
+    }
+
+    /// The book node describing the current state, if any.
+    fn book_node(&self) -> Option<&BookNode> {
+        let at = self.at_book?;
+        Some(&self.book.as_deref().expect("a book cursor implies a book")[at as usize])
     }
 
     #[inline]
@@ -274,13 +387,13 @@ impl GreedyDagPolicy {
     }
 
     /// Replays one journal step; returns `false` on an empty journal. The
-    /// frontier is invalidated, except that the pop which empties the
-    /// journal reinstates the base snapshot.
+    /// frontier is invalidated, unless the step started from a booked
+    /// state, in which case the book node is the frontier again.
     fn unwind_one(&mut self) -> bool {
         let wt = &mut self.wt;
         let cnt = &mut self.cnt;
         let alive = &mut self.alive;
-        let Some(prev_root) = self.journal.pop_with(
+        let Some(step) = self.journal.pop_with(
             |slot, old| wt[slot] = old,
             |slot, old| cnt[slot] = old,
             |_| {},
@@ -289,20 +402,59 @@ impl GreedyDagPolicy {
         ) else {
             return false;
         };
-        self.root = prev_root;
+        self.root = step.root;
+        self.at_book = step.book;
         self.fr_valid = false;
-        let Some(mode) = self.base_mode.filter(|_| self.journal.is_empty()) else {
-            return true;
+        true
+    }
+
+    /// Moves from book node `at` to its child for the answer `yes` at `q`,
+    /// journalling into the step `observe` just opened: every stored slot
+    /// logs its current value before taking the stored one. Returns `false`
+    /// (nothing written) when `q` is not the node's pick or the answer is
+    /// not booked.
+    fn follow_book(&mut self, at: u32, q: NodeId, yes: bool) -> bool {
+        let book = self.book.as_deref().expect("a book cursor implies a book");
+        let node = &book[at as usize];
+        let next = node.next[yes as usize];
+        if node.pick != q || next == 0 {
+            return false;
+        }
+        let child = &book[next as usize];
+        for &(slot, v) in &child.wt {
+            let slot = slot as usize;
+            self.journal.log_u64(slot, self.wt[slot]);
+            self.wt[slot] = v;
+        }
+        for &(slot, v) in &child.cnt {
+            let slot = slot as usize;
+            self.journal.log_u32(slot, self.cnt[slot]);
+            self.cnt[slot] = v;
+        }
+        for &(i, v) in &child.words {
+            let i = i as usize;
+            self.journal.log_word(i, self.alive.word(i));
+            self.alive.set_word(i, v);
+        }
+        self.root = child.root;
+        self.at_book = Some(next);
+        true
+    }
+
+    /// Leaves the book: the current node's lists and tags become the live
+    /// frontier. Every tagged node is a live list entry, so clearing the
+    /// tags of the current entries clears them all; the node's cached
+    /// scores were taken at this very state, so they are exact.
+    fn leave_book(&mut self) {
+        let Some(at) = self.at_book.take() else {
+            return;
         };
-        // Back at the base state: swap the live lists for the base snapshot.
-        // Every tagged node is a list entry, so clearing the tags of the
-        // current entries clears them all. The snapshot's cached scores
-        // were taken at this very state, so they are exact.
+        let node = &self.book.as_deref().expect("a book cursor implies a book")[at as usize];
         for (x, _) in self.cone.iter().chain(self.boundary.iter()) {
             self.fr_state[x.index()] = FR_OUT;
         }
-        self.cone.clone_from(&self.base_cone);
-        self.boundary.clone_from(&self.base_boundary);
+        self.cone.clone_from(&node.cone);
+        self.boundary.clone_from(&node.boundary);
         for (x, _) in &self.cone {
             self.fr_state[x.index()] = FR_CONE;
         }
@@ -310,10 +462,90 @@ impl GreedyDagPolicy {
             self.fr_state[x.index()] = FR_BOUNDARY;
         }
         self.fr_valid = true;
-        self.fr_root = prev_root;
-        self.fr_count_mode = mode;
+        self.fr_root = node.root;
+        self.fr_count_mode = node.count_mode;
         self.fr_rescore = false;
-        true
+    }
+
+    /// Writes the opening book from the base state, whose frontier the
+    /// rebuild that returned `pick` has just derived: the root node, then
+    /// (under a cache token) every answer prefix up to `BOOK_DEPTH`,
+    /// explored with ordinary observe/select/unobserve calls. Leaves the
+    /// policy at the base state on the book's root.
+    fn write_book(&mut self, ctx: &SearchContext<'_>, pick: NodeId) {
+        #[cfg(test)]
+        let work = (self.rebuilds, self.dooms);
+        let mut nodes = vec![self.booked_state(pick)];
+        if self.base_token != 0 {
+            self.extend_book(ctx, &mut nodes, 0, Self::BOOK_DEPTH);
+        }
+        #[cfg(test)]
+        {
+            self.book_rebuilds += self.rebuilds - work.0;
+            (self.rebuilds, self.dooms) = work;
+        }
+        self.book = Some(nodes.into());
+        self.at_book = Some(0);
+        self.fr_valid = false;
+    }
+
+    /// Books both answers at node `at`'s pick and, below each, the rest of
+    /// the `depth` answers still to book along the path.
+    fn extend_book(
+        &mut self,
+        ctx: &SearchContext<'_>,
+        nodes: &mut Vec<BookNode>,
+        at: usize,
+        depth: usize,
+    ) {
+        let pick = nodes[at].pick;
+        for yes in [false, true] {
+            self.observe(ctx, pick, yes);
+            if self.resolved().is_none() {
+                let next = self.select(ctx);
+                let mut node = self.booked_state(next);
+                let logs = self.journal.top().expect("observe opened a step");
+                node.wt = logs
+                    .u64s
+                    .iter()
+                    .map(|&(s, _)| (s, self.wt[s as usize]))
+                    .collect();
+                node.cnt = logs
+                    .u32s
+                    .iter()
+                    .map(|&(s, _)| (s, self.cnt[s as usize]))
+                    .collect();
+                node.words = logs
+                    .words
+                    .iter()
+                    .map(|&(i, _)| (i, self.alive.word(i as usize)))
+                    .collect();
+                nodes.push(node);
+                let child = nodes.len() - 1;
+                nodes[at].next[yes as usize] = child as u32;
+                if depth > 1 {
+                    self.extend_book(ctx, nodes, child, depth - 1);
+                }
+            }
+            self.unobserve(ctx);
+        }
+    }
+
+    /// A book node for the current state, right after a `select` that
+    /// returned `pick` on the live path (no redo deltas, no children).
+    fn booked_state(&self, pick: NodeId) -> BookNode {
+        debug_assert!(self.fr_valid && self.fr_root == self.root);
+        BookNode {
+            root: self.root,
+            count_mode: self.fr_count_mode,
+            pick,
+            cone: self.cone.clone(),
+            boundary: self.boundary.clone(),
+            wt: Vec::new(),
+            cnt: Vec::new(),
+            words: Vec::new(),
+            next: [0; 2],
+        }
     }
 
     /// Initial `w̃` / `ñ`: the per-node descendant aggregation the paper
@@ -346,8 +578,7 @@ impl GreedyDagPolicy {
     /// From-scratch frontier derivation: the pruned BFS of Alg. 6
     /// (lines 4–11), which doubles as the reference `select`. In
     /// incremental mode it additionally records the cone and boundary it
-    /// discovers, and snapshots them as the base frontier when the journal
-    /// is empty.
+    /// discovers.
     fn rebuild_frontier(
         &mut self,
         ctx: &SearchContext<'_>,
@@ -405,11 +636,6 @@ impl GreedyDagPolicy {
             self.fr_root = r;
             self.fr_count_mode = count_mode;
             self.fr_rescore = false;
-            if self.journal.is_empty() {
-                self.base_cone.clone_from(&self.cone);
-                self.base_boundary.clone_from(&self.boundary);
-                self.base_mode = Some(count_mode);
-            }
         }
         best.expect("unresolved root has an alive child").1
     }
@@ -524,6 +750,10 @@ impl GreedyDagPolicy {
         // nodes keep their last alive aggregates (nothing reads a dead
         // node, and undo revives bit-exactly), so the journal carries
         // O(|ancestors|) entries instead of one per (ancestor, doomed) pair.
+        #[cfg(test)]
+        {
+            self.dooms += 1;
+        }
         let index = ctx.reach.unwrap_or(&ReachIndex::Bfs);
         let total = (self.wt[q.index()], self.cnt[q.index()]);
         self.touched_cone.clear();
@@ -610,9 +840,9 @@ impl Policy for GreedyDagPolicy {
         let n = ctx.dag.node_count();
         if ctx.cache_token != 0 && self.base_token == ctx.cache_token && self.wt.len() == n {
             // Same instance as the previous session: unwinding the journal
-            // restores the exact base state — including the base frontier
-            // snapshot — in O(previous session's deltas) instead of an
-            // O(n) clone (or O(n·m) recompute).
+            // restores the exact base state — landing on the opening book's
+            // root, once written — in O(previous session's deltas) instead
+            // of an O(n) clone (or O(n·m) recompute).
             while self.unwind_one() {}
             self.root = ctx.dag.root();
             return;
@@ -626,7 +856,8 @@ impl Policy for GreedyDagPolicy {
         }
         self.root = ctx.dag.root();
         self.journal.clear();
-        self.base_mode = None;
+        self.book = None;
+        self.at_book = None;
         self.fr_rescore = false;
         self.base_token = ctx.cache_token;
         self.fr_valid = false;
@@ -651,6 +882,9 @@ impl Policy for GreedyDagPolicy {
 
     fn select(&mut self, ctx: &SearchContext<'_>) -> NodeId {
         debug_assert!(self.resolved().is_none());
+        if let Some(node) = self.book_node() {
+            return node.pick;
+        }
         let r = self.root;
         // When every alive candidate has zero rounded weight (forced
         // zero-probability targets), balance on counts instead so the
@@ -662,7 +896,13 @@ impl Policy for GreedyDagPolicy {
         }
         let fr_exact = self.fr_valid && self.fr_root == r && self.fr_count_mode == count_mode;
         if !fr_exact && !self.try_reroot(ctx, count_mode) {
-            return self.rebuild_frontier(ctx, count_mode, total);
+            let pick = self.rebuild_frontier(ctx, count_mode, total);
+            // The base frontier (a book's root is always the base state, so
+            // an empty journal here means there is no book yet).
+            if self.journal.is_empty() {
+                self.write_book(ctx, pick);
+            }
+            return pick;
         }
 
         // Incremental path: the persistent frontier is exact for (r, mode);
@@ -754,7 +994,16 @@ impl Policy for GreedyDagPolicy {
     }
 
     fn observe(&mut self, ctx: &SearchContext<'_>, q: NodeId, yes: bool) {
-        self.journal.begin(self.root);
+        self.journal.begin(Step {
+            root: self.root,
+            book: self.at_book,
+        });
+        if let Some(at) = self.at_book {
+            if self.follow_book(at, q, yes) {
+                return;
+            }
+            self.leave_book();
+        }
         if yes {
             // Re-root: the frontier arrays still describe the old root; the
             // next `select` re-roots onto the surviving sub-frontier (or
@@ -773,6 +1022,10 @@ impl Policy for GreedyDagPolicy {
 
     fn clone_box(&self) -> Box<dyn Policy + Send> {
         Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
     }
 }
 
@@ -1048,5 +1301,64 @@ mod drill_probe {
         );
         assert_eq!(scratch.rebuilds, yes_at.len());
         assert_eq!(fast.rebuilds, 1, "lattice re-root reuse stopped firing");
+    }
+
+    /// The opening book's work guard: once one session has written the
+    /// book, every later session on the instance, or on a clone of it,
+    /// serves its first `BOOK_DEPTH` rounds with no `doomed_contributions`
+    /// call and no pruned-BFS rebuild, for every target, and still finds
+    /// the target. Without the book each booked *no* runs a doom.
+    #[test]
+    fn booked_rounds_run_no_repair_or_rebuild() {
+        let g = aigs_testutil::dag_from_seed(300, 0.2, 17);
+        let n = g.node_count();
+        let w = NodeWeights::from_masses((0..n).map(|i| ((i * 37) % 101 + 1) as f64).collect())
+            .unwrap();
+        for reach in [
+            aigs_graph::ReachIndex::closure_for(&g),
+            aigs_graph::ReachIndex::Bfs,
+        ] {
+            let ctx = SearchContext::new(&g, &w)
+                .with_reach(&reach)
+                .with_cache_token(fresh_cache_token());
+            let mut first = GreedyDagPolicy::new();
+            first.reset(&ctx);
+            let _ = first.select(&ctx);
+            assert!(first.book_rebuilds > 0, "writing the book explores answers");
+            let written = first.book_rebuilds;
+            let mut clone = first.clone();
+            let mut booked_noes = 0;
+            for p in [&mut first, &mut clone] {
+                for z in g.nodes() {
+                    p.reset(&ctx);
+                    let (rebuilds, dooms) = (p.rebuilds, p.dooms);
+                    for _ in 0..GreedyDagPolicy::BOOK_DEPTH {
+                        if p.resolved().is_some() {
+                            break;
+                        }
+                        let q = p.select(&ctx);
+                        let yes = g.reaches(q, z);
+                        booked_noes += usize::from(!yes);
+                        p.observe(&ctx, q, yes);
+                    }
+                    if p.resolved().is_none() {
+                        let _ = p.select(&ctx);
+                    }
+                    assert_eq!(p.rebuilds, rebuilds, "booked rounds rebuilt, target {z}");
+                    assert_eq!(p.dooms, dooms, "booked rounds repaired, target {z}");
+                    let mut queries = 0;
+                    while p.resolved().is_none() {
+                        let q = p.select(&ctx);
+                        p.observe(&ctx, q, g.reaches(q, z));
+                        queries += 1;
+                        assert!(queries < 4 * n);
+                    }
+                    assert_eq!(p.resolved(), Some(z));
+                }
+                assert_eq!(p.book_rebuilds, written, "the book is written once");
+            }
+            assert!(first.shares_opening_book(&clone));
+            assert!(booked_noes > 0, "some booked round answers no");
+        }
     }
 }

@@ -39,7 +39,13 @@
 //! Everything a step mutates must go through the journal (or be derivable
 //! from the payload); state mutated outside it — scratch queues, memo
 //! caches validated against journalled state — must be semantically
-//! transparent to rollback.
+//! transparent to rollback. A memo may also *replay* a step instead of
+//! computing it: `GreedyDagPolicy`'s opening book keeps, for its first
+//! rounds, each answer's writes as `(slot, new value)` pairs read off
+//! [`StepJournal::top`] at build time, and a replayed step logs the current
+//! value of every slot before writing the stored one, exactly as a computed
+//! step would. Undo, a cache-token reset and crash recovery therefore
+//! cannot tell the two apart.
 
 use aigs_graph::NodeId;
 
@@ -52,6 +58,18 @@ struct Mark<S> {
     spill: u32,
     words: u32,
     payload: S,
+}
+
+/// The `(slot, old value)` logs of one step, borrowed from the journal
+/// (see [`StepJournal::top`]).
+#[derive(Debug, Clone, Copy)]
+pub struct StepLogs<'a> {
+    /// 64-bit entries ([`StepJournal::log_u64`]/[`StepJournal::log_f64`]).
+    pub u64s: &'a [(u32, u64)],
+    /// 32-bit entries ([`StepJournal::log_u32`]).
+    pub u32s: &'a [(u32, u32)],
+    /// Bitset words ([`StepJournal::log_word`]).
+    pub words: &'a [(u32, u64)],
 }
 
 /// A LIFO delta journal over typed entry logs. `S` is the per-step scalar
@@ -175,6 +193,18 @@ impl<S: Copy> StepJournal<S> {
     /// after `begin` (e.g. flagging a later spill).
     pub fn last_payload_mut(&mut self) -> Option<&mut S> {
         self.steps.last_mut().map(|m| &mut m.payload)
+    }
+
+    /// The value logs of the most recent step, in logging order (`None` on
+    /// an empty journal): the slots a step wrote, for a caller that keeps a
+    /// *redo* copy of the step by reading each slot's new value.
+    pub fn top(&self) -> Option<StepLogs<'_>> {
+        let mark = self.steps.last()?;
+        Some(StepLogs {
+            u64s: &self.u64s[mark.u64s as usize..],
+            u32s: &self.u32s[mark.u32s as usize..],
+            words: &self.words[mark.words as usize..],
+        })
     }
 
     /// Pops the most recent step: replays its `u64`, `u32`, flip and word

@@ -34,7 +34,7 @@ pub use cost_sensitive::CostSensitivePolicy;
 pub use greedy_dag::GreedyDagPolicy;
 pub use greedy_naive::GreedyNaivePolicy;
 pub use greedy_tree::{ChildSelect, GreedyTreePolicy};
-pub use journal::StepJournal;
+pub use journal::{StepJournal, StepLogs};
 pub use migs::MigsPolicy;
 pub use optimal::{
     optimal_expected_cost, optimal_worst_case_cost, OptimalObjective, OptimalPolicy,
@@ -96,6 +96,13 @@ pub trait Policy {
 
     /// Clones the policy behind the trait object (for parallel evaluation).
     fn clone_box(&self) -> Box<dyn Policy + Send>;
+
+    /// The concrete policy behind the trait object, for tests that inspect
+    /// policy-specific state. Not part of the stable API.
+    #[doc(hidden)]
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        None
+    }
 }
 
 /// Blanket helper so `Box<dyn Policy>` itself can be cloned.

@@ -523,6 +523,136 @@ proptest! {
     }
 }
 
+/// The reference oracle's next question after replaying `prefix` from a
+/// fresh reset (`None` once resolved).
+fn reference_pick(ctx: &SearchContext<'_>, prefix: &[(NodeId, bool)]) -> Option<NodeId> {
+    let mut oracle = GreedyDagPolicy::reference();
+    oracle.reset(ctx);
+    for &(q, ans) in prefix {
+        oracle.observe(ctx, q, ans);
+    }
+    oracle.resolved().is_none().then(|| oracle.select(ctx))
+}
+
+/// Checks `p` against cold rebuilds and the reference oracle replaying
+/// `prefix`: aggregates, frontier snapshot, resolution and next question.
+fn assert_matches_reference(
+    p: &mut GreedyDagPolicy,
+    ctx: &SearchContext<'_>,
+    prefix: &[(NodeId, bool)],
+    label: &str,
+) -> Result<(), TestCaseError> {
+    assert_state_matches_cold_rebuild(p, ctx, label);
+    let want = reference_pick(ctx, prefix);
+    let got = p.resolved().is_none().then(|| p.select(ctx));
+    prop_assert_eq!(got, want, "next question diverged: {}", label);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The opening book against the from-scratch reference and cold
+    /// rebuilds. First a sweep: every answer pattern at the picks walked
+    /// one step past the book's depth and undone back to the root,
+    /// checked at every depth on the way down and up. Then a random
+    /// script of observes at the pick and away from it (any alive node
+    /// under the root), undos and token resets. Under every backend, on
+    /// a fresh instance and on a clone that shares its book.
+    #[test]
+    fn opening_book_matches_reference_and_cold_rebuild(
+        n in 3usize..28,
+        frac in 0.05f64..0.4,
+        seed in 0u64..10_000,
+        // op stream: 0-1 observe at the pick, 2 observe away from it,
+        // 3 undo, 4 reset; the second value is the answer bit / node salt
+        script in prop::collection::vec((0u8..5, 0usize..64), 1..32),
+    ) {
+        let g = dag_from_seed(n, frac, seed);
+        let nn = g.node_count();
+        let weights = generic_weights(nn, seed);
+        let token = fresh_cache_token();
+        let walk = GreedyDagPolicy::BOOK_DEPTH + 1;
+        for (backend_name, index) in backends(&g, seed) {
+            let base = SearchContext::new(&g, &weights).with_cache_token(token);
+            let ctx = match &index {
+                Some(ix) => base.with_reach(ix),
+                None => base,
+            };
+            let mut writer = GreedyDagPolicy::new();
+            writer.reset(&ctx);
+            let _ = writer.select(&ctx);
+            let mut p = writer.clone();
+            prop_assert!(p.shares_opening_book(&writer));
+            for pattern in 0u32..1 << walk {
+                p.reset(&ctx);
+                let mut prefix: Vec<(NodeId, bool)> = Vec::new();
+                for depth in 0..walk {
+                    if p.resolved().is_some() {
+                        break;
+                    }
+                    let q = p.select(&ctx);
+                    let ans = pattern >> depth & 1 == 1;
+                    p.observe(&ctx, q, ans);
+                    prefix.push((q, ans));
+                    let label = format!("backend {backend_name}, walk {pattern:b} down {depth}");
+                    assert_matches_reference(&mut p, &ctx, &prefix, &label)?;
+                }
+                while !prefix.is_empty() {
+                    p.unobserve(&ctx);
+                    prefix.pop();
+                    let label = format!(
+                        "backend {backend_name}, walk {pattern:b} up to {}",
+                        prefix.len()
+                    );
+                    assert_matches_reference(&mut p, &ctx, &prefix, &label)?;
+                }
+            }
+            let mut prefix: Vec<(NodeId, bool)> = Vec::new();
+            p.reset(&ctx);
+            for (op_no, &(op, salt)) in script.iter().enumerate() {
+                let label = format!("backend {backend_name}, op {op_no}");
+                match op {
+                    3 if !prefix.is_empty() => {
+                        p.unobserve(&ctx);
+                        prefix.pop();
+                    }
+                    4 => {
+                        p.reset(&ctx);
+                        prefix.clear();
+                    }
+                    2 => {
+                        let (root, alive) = replay_alive(&g, &prefix);
+                        let pick = p.resolved().is_none().then(|| p.select(&ctx));
+                        let away = (0..nn)
+                            .map(|k| NodeId::new((k + salt) % nn))
+                            .find(|&q| {
+                                alive[q.index()]
+                                    && q != root
+                                    && Some(q) != pick
+                                    && g.reaches(root, q)
+                            });
+                        if let Some(q) = away {
+                            let ans = salt % 2 == 1;
+                            p.observe(&ctx, q, ans);
+                            prefix.push((q, ans));
+                        }
+                    }
+                    _ => {
+                        if p.resolved().is_none() {
+                            let q = p.select(&ctx);
+                            let ans = salt % 2 == 1;
+                            p.observe(&ctx, q, ans);
+                            prefix.push((q, ans));
+                        }
+                    }
+                }
+                assert_matches_reference(&mut p, &ctx, &prefix, &label)?;
+            }
+        }
+    }
+}
+
 /// Deterministic split of the two *yes* re-root shapes: a cone member (the
 /// closure backend serves it from the retained sub-frontier) and a light
 /// boundary outsider (every backend falls back to the pruned-BFS rebuild).

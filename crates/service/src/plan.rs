@@ -551,6 +551,25 @@ mod tests {
     }
 
     #[test]
+    fn prototype_clones_share_one_opening_book() {
+        // Every clone of the warm prototype holds the one book the
+        // prototype's pre-select wrote, so book memory does not scale with
+        // the pool.
+        let plan = diamond_plan(ReachChoice::Closure);
+        let kind = PolicyKind::GreedyDag;
+        let (a, _) = plan.acquire(kind);
+        let (b, _) = plan.acquire(kind);
+        fn greedy_dag(p: &dyn Policy) -> &aigs_core::policy::GreedyDagPolicy {
+            p.as_any()
+                .and_then(|any| any.downcast_ref())
+                .expect("a greedy-dag instance")
+        }
+        let (a, b) = (greedy_dag(a.as_ref()), greedy_dag(b.as_ref()));
+        assert!(a.opening_book_bytes() > 0, "the prototype wrote a book");
+        assert!(a.shares_opening_book(b));
+    }
+
+    #[test]
     fn warm_clone_matches_cold_build_transcripts() {
         // A warm-cloned instance must be observationally identical to a
         // freshly built one: drive both through every single-answer

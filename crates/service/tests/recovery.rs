@@ -279,6 +279,69 @@ fn repeated_crash_recover_cycles_stay_exact() {
     assert_eq!(out.price.to_bits(), want_out.price.to_bits());
 }
 
+/// A greedy-dag session killed after 1, 2 and 3 answers — inside the
+/// policy's opening book (its first `BOOK_DEPTH` = 2 answers replay shared
+/// deltas) and one step past it — recovers and finishes with the
+/// transcript of an uncrashed run. A finished session on the plan runs
+/// first, so the killed one starts on a pooled instance that holds the
+/// warm prototype's book.
+#[test]
+fn greedy_dag_recovers_inside_and_past_the_opening_book() {
+    const NODES: usize = 64;
+    let dag = Arc::new(dag_from_seed(NODES, 0.3, SEED));
+    let spec = PlanSpec::new(dag.clone(), Arc::new(generic_weights(NODES, SEED)))
+        .with_costs(Arc::new(generic_prices(NODES, SEED)))
+        .with_reach(env_reach_choice());
+    let kind = PolicyKind::GreedyDag;
+    let depth = aigs_core::policy::GreedyDagPolicy::BOOK_DEPTH;
+
+    // Uncrashed control: the target with the longest transcript.
+    let control = SearchEngine::new(common::engine_config());
+    let cplan = control.register_plan(spec.clone()).unwrap();
+    let (target, want_t, want_out) = dag
+        .nodes()
+        .map(|z| {
+            let id = open_and_replay(&control, cplan, kind, &[]);
+            let (t, out) = drive_to_end(&control, id, &dag, z);
+            (z, t, out)
+        })
+        .max_by_key(|(_, t, _)| t.len())
+        .unwrap();
+    assert!(want_t.len() > depth + 1, "the session outlasts the book");
+
+    for kill_after in 1..=depth + 1 {
+        let dir = scratch_dir(&format!("recover-book-{kill_after}"));
+        let engine = SearchEngine::try_new(durable_config(&dir, FsyncPolicy::EveryN(4))).unwrap();
+        let plan = engine.register_plan(spec.clone()).unwrap();
+        let warm = engine.open_session(plan, kind).unwrap().id();
+        drive_to_end(&engine, warm, &dag, target);
+        let id = engine.open_session(plan, kind).unwrap().id();
+        let mut transcript = Vec::new();
+        for _ in 0..kill_after {
+            match engine.next_question(id).unwrap() {
+                SessionStep::Ask(q) => {
+                    let yes = dag.reaches(q, target);
+                    transcript.push((q, yes));
+                    engine.answer(id, yes).unwrap();
+                }
+                SessionStep::Resolved(t) => panic!("resolved early at {t:?}"),
+            }
+        }
+        drop(engine); // crash
+
+        let (rec, report) = common::recover(&dir).unwrap();
+        assert_eq!(report.sessions, 1);
+        assert_eq!(report.sessions_failed, 0);
+        let (tail, out) = drive_to_end(&rec, id, &dag, target);
+        transcript.extend(tail);
+        assert_eq!(transcript, want_t, "killed after {kill_after} answers");
+        assert_eq!(out.queries, want_out.queries);
+        assert_eq!(out.price.to_bits(), want_out.price.to_bits());
+        drop(rec);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn fresh_engine_wipes_the_previous_tenants_logs() {
     let dir = scratch_dir("recover-wipe");
