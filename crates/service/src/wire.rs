@@ -76,9 +76,10 @@
 //! (histograms and counters are since-last-call, predicted costs stay
 //! absolute).
 //!
-//! A BAD_REQUEST is answered before the connection is closed; an
-//! oversized or unparsable *length prefix* closes the connection without
-//! a response (the stream can no longer be framed).
+//! A BAD_REQUEST leaves the connection open: the request was framed, so
+//! the next frame starts where it ended. Only an oversized *length
+//! prefix* closes the connection, without a response (the stream can no
+//! longer be framed).
 //!
 //! ## HTTP escape hatch
 //!
@@ -100,14 +101,25 @@
 //! Each thread serves its accepted connection to EOF, then accepts again:
 //! total concurrent connections are unbounded only by the OS, but at most
 //! N are *served* at once, so clients wanting parallelism should pipeline
-//! over ≤ N connections. Shutdown sets a stop flag and nudges every
-//! thread loose with self-connects; in-flight connections notice within
-//! one read-timeout tick (1 s).
+//! over ≤ N connections.
+//!
+//! Both ends read through a per-connection frame buffer: one `read` pulls
+//! in the length prefix, the payload and whatever bytes follow, so frames
+//! that arrive together are served from the buffer without further reads.
+//! Frames are encoded in place into a reused output buffer whose 4-byte
+//! length prefix is patched once the payload is written, then sent with
+//! one `write`. A round trip is usually one `write` and one `read` on
+//! each side, and in steady state neither side allocates per frame.
+//!
+//! Shutdown sets a stop flag, shuts down every connection being served
+//! (the server keeps a clone of each served stream, so a thread blocked
+//! reading an idle client wakes at once) and nudges threads blocked in
+//! `accept` loose with self-connects.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use aigs_core::{SearchOutcome, SessionStep};
@@ -127,9 +139,17 @@ use crate::{EngineStats, PlanId, PolicyKind, SearchEngine, ServiceError, Session
 /// HTTP at the port) from provoking a giant allocation.
 pub const MAX_FRAME: u32 = 1 << 20;
 
-/// How long a serving thread blocks in one read before rechecking the
-/// stop flag.
-const READ_TICK: Duration = Duration::from_secs(1);
+/// Bytes in a frame's length prefix.
+const FRAME_HEADER: usize = 4;
+
+/// Initial size of a connection's input and output buffers: every frame
+/// but a large METRICS or SLOW_OPS body fits, and a larger frame grows
+/// the buffer to its size (at most `FRAME_HEADER + MAX_FRAME`).
+const FRAME_BUF: usize = 4096;
+
+/// An HTTP request head is read up to this many bytes (more than any
+/// scraper sends); a longer head is served truncated.
+const HTTP_HEAD_MAX: usize = 8192;
 
 // Opcodes.
 const OP_OPEN: u8 = 0x01;
@@ -364,8 +384,7 @@ fn read_utf8(c: &mut Cursor<'_>) -> Result<String, String> {
     String::from_utf8(bytes.to_vec()).map_err(|e| format!("invalid UTF-8 string: {e}"))
 }
 
-fn encode_snapshot(snap: &TelemetrySnapshot) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1024);
+fn encode_snapshot(snap: &TelemetrySnapshot, out: &mut Vec<u8>) {
     out.push(snap.enabled as u8);
     out.extend_from_slice(&snap.clock.to_le_bytes());
     out.extend_from_slice(&snap.shards.to_le_bytes());
@@ -380,7 +399,7 @@ fn encode_snapshot(snap: &TelemetrySnapshot) -> Vec<u8> {
     }
     for per_tier in &snap.op_tier_ns {
         for h in per_tier {
-            put_hist(&mut out, h);
+            put_hist(out, h);
         }
     }
     for per_kind in &snap.op_kind {
@@ -397,16 +416,16 @@ fn encode_snapshot(snap: &TelemetrySnapshot) -> Vec<u8> {
     ] {
         out.extend_from_slice(&v.to_le_bytes());
     }
-    put_hist(&mut out, &snap.wal.fsync_batch);
-    put_hist(&mut out, &snap.wal.fsync_ns);
-    put_hist(&mut out, &snap.wal.compaction_ns);
+    put_hist(out, &snap.wal.fsync_batch);
+    put_hist(out, &snap.wal.fsync_ns);
+    put_hist(out, &snap.wal.compaction_ns);
     out.extend_from_slice(&(snap.plans.len() as u32).to_le_bytes());
     for plan in &snap.plans {
         out.extend_from_slice(&plan.plan.to_le_bytes());
         out.push(plan.kinds.len() as u8);
         for row in &plan.kinds {
-            put_utf8(&mut out, &row.kind);
-            put_hist(&mut out, &row.queries);
+            put_utf8(out, &row.kind);
+            put_hist(out, &row.queries);
             out.extend_from_slice(&row.price_sum.to_bits().to_le_bytes());
             match &row.predicted {
                 Some(p) => {
@@ -419,7 +438,6 @@ fn encode_snapshot(snap: &TelemetrySnapshot) -> Vec<u8> {
         }
     }
     out.extend_from_slice(&snap.slow_dropped.to_le_bytes());
-    out
 }
 
 fn decode_snapshot(c: &mut Cursor<'_>) -> Result<TelemetrySnapshot, String> {
@@ -476,28 +494,109 @@ fn decode_snapshot(c: &mut Cursor<'_>) -> Result<TelemetrySnapshot, String> {
     Ok(snap)
 }
 
-/// Writes one frame: length prefix + payload.
-fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME as usize);
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    stream.write_all(&frame)
+/// Clears `out` and reserves its length prefix; the payload is appended
+/// after it and [`end_frame`] patches the prefix.
+fn begin_frame(out: &mut Vec<u8>) {
+    out.clear();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
 }
 
-/// Reads one frame payload (blocking, no timeout handling — client side).
-fn read_frame(stream: &mut TcpStream) -> Result<Vec<u8>, WireError> {
-    let mut header = [0u8; 4];
-    stream.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header);
-    if len > MAX_FRAME {
-        return Err(WireError::Protocol(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
-        )));
+/// Writes the payload length of a frame begun by [`begin_frame`] into its
+/// prefix; `out` then holds the whole frame.
+fn end_frame(out: &mut [u8]) {
+    let len = u32::try_from(out.len() - FRAME_HEADER).expect("frame payload fits a u32");
+    debug_assert!(len <= MAX_FRAME);
+    out[..FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Buffered frame input for one connection: an owned buffer whose
+/// `start..end` holds received bytes not yet consumed. A read asks for as
+/// much as the buffer holds, so the length prefix, the payload and any
+/// following frames arrive together when the peer sent them together.
+struct FrameReader<R> {
+    inner: R,
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    fn new(inner: R) -> FrameReader<R> {
+        FrameReader {
+            inner,
+            buf: vec![0; FRAME_BUF],
+            start: 0,
+            end: 0,
+        }
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    Ok(payload)
+
+    /// The received bytes not yet consumed.
+    fn buffered(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    fn consume(&mut self, n: usize) {
+        debug_assert!(n <= self.end - self.start);
+        self.start += n;
+    }
+
+    /// Reads until at least `want` bytes are buffered. `Ok(false)` means
+    /// the peer closed first; what did arrive stays buffered.
+    fn fill(&mut self, want: usize) -> io::Result<bool> {
+        while self.end - self.start < want {
+            if self.start > 0 {
+                // Move the unconsumed tail (less than `want` bytes) to the
+                // front so the read gets the rest of the buffer.
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+            }
+            if self.buf.len() < want {
+                self.buf.resize(want, 0);
+            }
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Ok(false),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
+
+    /// The next frame's payload, borrowed from the buffer until the next
+    /// call. `Ok(None)` means the peer closed cleanly between frames; a
+    /// close mid-frame is an I/O error and a length over [`MAX_FRAME`] a
+    /// protocol error.
+    fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
+        if !self.fill(FRAME_HEADER)? {
+            return match self.end - self.start {
+                0 => Ok(None),
+                _ => Err(closed_mid_frame()),
+            };
+        }
+        let header = &self.buf[self.start..self.start + FRAME_HEADER];
+        let len = u32::from_le_bytes(header.try_into().expect("4-byte prefix"));
+        if len > MAX_FRAME {
+            return Err(WireError::Protocol(format!(
+                "frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
+            )));
+        }
+        let total = FRAME_HEADER + len as usize;
+        if !self.fill(total)? {
+            return Err(closed_mid_frame());
+        }
+        let payload = self.start + FRAME_HEADER..self.start + total;
+        self.start += total;
+        Ok(Some(&self.buf[payload]))
+    }
+}
+
+fn closed_mid_frame() -> WireError {
+    WireError::Io(io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "peer closed mid-frame",
+    ))
 }
 
 // ---- client ------------------------------------------------------------
@@ -507,9 +606,18 @@ fn read_frame(stream: &mut TcpStream) -> Result<Vec<u8>, WireError> {
 /// ways — [`WireError::Io`] (transport), [`WireError::Protocol`] (framing)
 /// and [`WireError::Fault`] (the engine refused, e.g.
 /// [`WireFault::AtCapacity`] with its backoff hint).
-#[derive(Debug)]
 pub struct WireClient {
-    stream: TcpStream,
+    frames: FrameReader<TcpStream>,
+    /// The request being built, reused across calls.
+    out: Vec<u8>,
+}
+
+impl std::fmt::Debug for WireClient {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WireClient")
+            .field("stream", &self.frames.inner)
+            .finish_non_exhaustive()
+    }
 }
 
 impl WireClient {
@@ -517,22 +625,41 @@ impl WireClient {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<WireClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(WireClient { stream })
+        Ok(WireClient {
+            frames: FrameReader::new(stream),
+            out: Vec::with_capacity(FRAME_BUF),
+        })
     }
 
-    fn roundtrip(&mut self, request: &[u8]) -> Result<Vec<u8>, WireError> {
-        write_frame(&mut self.stream, request)?;
-        read_frame(&mut self.stream)
+    /// Starts a request for `op` in the output buffer; the caller appends
+    /// the body and sends it with [`call`](Self::call).
+    fn request(&mut self, op: u8) -> &mut Vec<u8> {
+        begin_frame(&mut self.out);
+        self.out.push(op);
+        &mut self.out
     }
 
-    /// Dispatches `request` and peels the status byte, converting non-OK
-    /// statuses into [`WireError::Fault`]; returns the OK body.
-    fn call(&mut self, request: &[u8]) -> Result<Vec<u8>, WireError> {
-        let response = self.roundtrip(request)?;
-        let mut c = Cursor::new(&response);
+    /// Sends the request built since [`request`](Self::request) and
+    /// returns the response payload, borrowed from the frame buffer.
+    fn roundtrip(&mut self) -> Result<&[u8], WireError> {
+        end_frame(&mut self.out);
+        self.frames.inner.write_all(&self.out)?;
+        self.frames.next_frame()?.ok_or_else(|| {
+            WireError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            ))
+        })
+    }
+
+    /// Sends the built request and peels the status byte, converting
+    /// non-OK statuses into [`WireError::Fault`]; returns the OK body.
+    fn call(&mut self) -> Result<&[u8], WireError> {
+        let response = self.roundtrip()?;
+        let mut c = Cursor::new(response);
         let status = c.u8().map_err(WireError::Protocol)?;
         let fault = match status {
-            ST_OK => return Ok(response[1..].to_vec()),
+            ST_OK => return Ok(&response[1..]),
             ST_AT_CAPACITY => {
                 let live = c.u64().map_err(WireError::Protocol)? as usize;
                 let limit = c.u64().map_err(WireError::Protocol)? as usize;
@@ -563,29 +690,26 @@ impl WireClient {
     /// and the engine's in-process API alike.
     pub fn open(&mut self, plan: PlanId, kind: PolicyKind) -> Result<SessionId, WireError> {
         let KindCode { tag, seed } = kind_code(kind);
-        let mut req = vec![OP_OPEN];
+        let req = self.request(OP_OPEN);
         req.extend_from_slice(&plan.engine.to_le_bytes());
         req.extend_from_slice(&plan.index.to_le_bytes());
         req.push(tag);
         req.extend_from_slice(&seed.to_le_bytes());
-        let body = self.call(&req)?;
-        let mut c = Cursor::new(&body);
+        let mut c = Cursor::new(self.call()?);
         let id = c.session_id().map_err(WireError::Protocol)?;
         c.done().map_err(WireError::Protocol)?;
         Ok(id)
     }
 
-    fn session_op(&mut self, op: u8, id: SessionId) -> Result<Vec<u8>, WireError> {
-        let mut req = vec![op];
-        put_session_id(&mut req, id);
-        self.call(&req)
+    fn session_op(&mut self, op: u8, id: SessionId) -> Result<&[u8], WireError> {
+        put_session_id(self.request(op), id);
+        self.call()
     }
 
     /// What session `id` needs next: a question to put to the oracle, or
     /// its resolved target.
     pub fn next_question(&mut self, id: SessionId) -> Result<SessionStep, WireError> {
-        let body = self.session_op(OP_NEXT, id)?;
-        let mut c = Cursor::new(&body);
+        let mut c = Cursor::new(self.session_op(OP_NEXT, id)?);
         let tag = c.u8().map_err(WireError::Protocol)?;
         let node = NodeId(c.u32().map_err(WireError::Protocol)?);
         c.done().map_err(WireError::Protocol)?;
@@ -598,17 +722,17 @@ impl WireClient {
 
     /// Feeds the oracle's verdict for the pending question of `id`.
     pub fn answer(&mut self, id: SessionId, yes: bool) -> Result<(), WireError> {
-        let mut req = vec![OP_ANSWER];
-        put_session_id(&mut req, id);
+        let req = self.request(OP_ANSWER);
+        put_session_id(req, id);
         req.push(yes as u8);
-        let body = self.call(&req)?;
-        Cursor::new(&body).done().map_err(WireError::Protocol)
+        Cursor::new(self.call()?)
+            .done()
+            .map_err(WireError::Protocol)
     }
 
     /// Completes a resolved session, returning its outcome.
     pub fn finish(&mut self, id: SessionId) -> Result<SearchOutcome, WireError> {
-        let body = self.session_op(OP_FINISH, id)?;
-        let mut c = Cursor::new(&body);
+        let mut c = Cursor::new(self.session_op(OP_FINISH, id)?);
         let target = NodeId(c.u32().map_err(WireError::Protocol)?);
         let queries = c.u32().map_err(WireError::Protocol)?;
         let price = c.f64().map_err(WireError::Protocol)?;
@@ -622,14 +746,15 @@ impl WireClient {
 
     /// Discards session `id` regardless of progress.
     pub fn cancel(&mut self, id: SessionId) -> Result<(), WireError> {
-        let body = self.session_op(OP_CANCEL, id)?;
-        Cursor::new(&body).done().map_err(WireError::Protocol)
+        Cursor::new(self.session_op(OP_CANCEL, id)?)
+            .done()
+            .map_err(WireError::Protocol)
     }
 
     /// The engine's aggregated activity counters.
     pub fn stats(&mut self) -> Result<EngineStats, WireError> {
-        let body = self.call(&[OP_STATS])?;
-        let mut c = Cursor::new(&body);
+        self.request(OP_STATS);
+        let mut c = Cursor::new(self.call()?);
         let p = |r: Result<u64, String>| r.map_err(WireError::Protocol);
         let stats = EngineStats {
             live: p(c.u64())? as usize,
@@ -664,8 +789,8 @@ impl WireClient {
     /// shard, uneven eviction) that the aggregated [`stats`](Self::stats)
     /// hides.
     pub fn stats_per_shard(&mut self) -> Result<Vec<ShardStats>, WireError> {
-        let body = self.call(&[OP_SHARD_STATS])?;
-        let mut c = Cursor::new(&body);
+        self.request(OP_SHARD_STATS);
+        let mut c = Cursor::new(self.call()?);
         let p = |r: Result<u64, String>| r.map_err(WireError::Protocol);
         let count = c.u32().map_err(WireError::Protocol)?;
         let mut shards = Vec::with_capacity(count as usize);
@@ -698,8 +823,8 @@ impl WireClient {
     /// are gone from the rings, so point exactly one collector at this
     /// op.
     pub fn slow_ops(&mut self) -> Result<Vec<SlowOp>, WireError> {
-        let body = self.call(&[OP_SLOW_OPS])?;
-        let mut c = Cursor::new(&body);
+        self.request(OP_SLOW_OPS);
+        let mut c = Cursor::new(self.call()?);
         let p = |r: Result<u64, String>| r.map_err(WireError::Protocol);
         let count = c.u32().map_err(WireError::Protocol)?;
         let mut ops = Vec::with_capacity(count.min(4096) as usize);
@@ -740,8 +865,8 @@ impl WireClient {
     /// call on a connection returns totals). Predicted plan costs are
     /// gauges and stay absolute in both modes.
     pub fn metrics(&mut self, delta: bool) -> Result<TelemetrySnapshot, WireError> {
-        let body = self.call(&[OP_METRICS, delta as u8])?;
-        let mut c = Cursor::new(&body);
+        self.request(OP_METRICS).push(delta as u8);
+        let mut c = Cursor::new(self.call()?);
         let snap = decode_snapshot(&mut c).map_err(WireError::Protocol)?;
         c.done().map_err(WireError::Protocol)?;
         Ok(snap)
@@ -756,8 +881,23 @@ impl WireClient {
 #[derive(Debug)]
 pub struct WireServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
+}
+
+/// State the serve threads share with [`WireServer`].
+#[derive(Debug)]
+struct Shared {
+    stop: AtomicBool,
+    /// Per serve thread, a clone of the stream it is serving, so a stop
+    /// can shut the connection down under a thread blocked reading it.
+    served: Vec<Mutex<Option<TcpStream>>>,
+}
+
+/// Locks a serve thread's slot. A poisoned lock is taken as is: the slot
+/// holds a plain `Option`, valid whatever panicked.
+fn lock_served(slot: &Mutex<Option<TcpStream>>) -> MutexGuard<'_, Option<TcpStream>> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl WireServer {
@@ -777,20 +917,23 @@ impl WireServer {
         } else {
             threads
         };
-        let stop = Arc::new(AtomicBool::new(false));
+        let shared = Arc::new(Shared {
+            stop: AtomicBool::new(false),
+            served: (0..threads).map(|_| Mutex::new(None)).collect(),
+        });
         let handles = (0..threads)
             .map(|i| {
                 let listener = listener.try_clone()?;
                 let engine = Arc::clone(&engine);
-                let stop = Arc::clone(&stop);
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("aigs-wire-{i}"))
-                    .spawn(move || accept_loop(listener, engine, stop))
+                    .spawn(move || accept_loop(listener, engine, &shared, i))
             })
             .collect::<io::Result<Vec<_>>>()?;
         Ok(WireServer {
             addr,
-            stop,
+            shared,
             handles,
         })
     }
@@ -800,9 +943,9 @@ impl WireServer {
         self.addr
     }
 
-    /// Stops accepting, unblocks every serve thread, and joins them.
-    /// In-flight connections are dropped at their next read tick; sessions
-    /// they opened stay live on the engine (reattachable by id).
+    /// Stops accepting, closes every served connection, and joins the
+    /// serve threads. Sessions opened over those connections stay live on
+    /// the engine (reattachable by id).
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -811,11 +954,19 @@ impl WireServer {
         if self.handles.is_empty() {
             return;
         }
-        self.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.store(true, Ordering::SeqCst);
+        // A thread serving a connection blocks in `read` with no timeout:
+        // shutting the socket down wakes it with EOF. A thread registers
+        // its stream under the slot lock after checking the flag, so every
+        // connection is either shut down here or never served.
+        for slot in &self.shared.served {
+            if let Some(stream) = lock_served(slot).as_ref() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
         // Accept loops block in `accept` with no timeout: nudge each one
-        // loose with a throwaway connection. Threads that are mid-serve
-        // instead notice the flag at their next read tick, and the extra
-        // wakeups pair off with the remaining accepts harmlessly.
+        // loose with a throwaway connection. The extra wakeups pair off
+        // with the remaining accepts harmlessly.
         for _ in 0..self.handles.len() {
             let _ = TcpStream::connect(self.addr);
         }
@@ -831,9 +982,10 @@ impl Drop for WireServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, engine: Arc<SearchEngine>, stop: Arc<AtomicBool>) {
+fn accept_loop(listener: TcpListener, engine: Arc<SearchEngine>, shared: &Shared, i: usize) {
+    let slot = &shared.served[i];
     loop {
-        if stop.load(Ordering::SeqCst) {
+        if shared.stop.load(Ordering::SeqCst) {
             return;
         }
         let stream = match listener.accept() {
@@ -848,43 +1000,21 @@ fn accept_loop(listener: TcpListener, engine: Arc<SearchEngine>, stop: Arc<Atomi
                 continue;
             }
         };
-        if stop.load(Ordering::SeqCst) {
-            return; // the stream was a shutdown nudge
-        }
-        let _ = serve_connection(stream, &engine, &stop);
-    }
-}
-
-/// Reads exactly `buf.len()` bytes, rechecking `stop` on every timeout
-/// tick. `Ok(false)` means the peer closed cleanly before the first byte
-/// (or a stop was requested); mid-message EOF is an error.
-fn read_exact_idle(stream: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> io::Result<bool> {
-    let mut got = 0;
-    while got < buf.len() {
-        match stream.read(&mut buf[got..]) {
-            Ok(0) if got == 0 => return Ok(false),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
+        {
+            let mut served = lock_served(slot);
+            if shared.stop.load(Ordering::SeqCst) {
+                return; // the stream was a shutdown nudge
             }
-            Ok(n) => got += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(false);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            // A connection the server could not shut down would hold
+            // `shutdown` hostage to its client: refuse it instead.
+            let Ok(clone) = stream.try_clone() else {
+                continue;
+            };
+            *served = Some(clone);
         }
+        let _ = serve_connection(&stream, &engine);
+        *lock_served(slot) = None;
     }
-    Ok(true)
 }
 
 /// Per-connection server state: the last [`TelemetrySnapshot`] taken on
@@ -894,61 +1024,47 @@ struct ConnState {
     last_metrics: Option<TelemetrySnapshot>,
 }
 
-fn serve_connection(
-    mut stream: TcpStream,
-    engine: &SearchEngine,
-    stop: &AtomicBool,
-) -> io::Result<()> {
+fn serve_connection(mut stream: &TcpStream, engine: &SearchEngine) -> Result<(), WireError> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(READ_TICK))?;
-    let mut conn = ConnState::default();
-    let mut header = [0u8; 4];
-    let mut first = true;
-    loop {
-        if !read_exact_idle(&mut stream, &mut header, stop)? {
-            return Ok(());
-        }
-        if first && header == *b"GET " {
-            // Someone pointed an HTTP client at the port: serve one
-            // plain-text exchange (the /metrics exposition) and close.
-            return serve_http(&mut stream, engine, stop);
-        }
-        first = false;
-        let len = u32::from_le_bytes(header);
-        if len > MAX_FRAME {
-            // The stream can no longer be framed; no response is possible.
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "oversized request frame",
-            ));
-        }
-        let mut payload = vec![0u8; len as usize];
-        if !read_exact_idle(&mut stream, &mut payload, stop)? {
-            return Ok(());
-        }
-        let response = handle_request(engine, &mut conn, &payload);
-        write_frame(&mut stream, &response)?;
+    let mut frames = FrameReader::new(stream);
+    if !frames.fill(FRAME_HEADER)? {
+        return Ok(());
     }
+    if frames.buffered().starts_with(b"GET ") {
+        // Someone pointed an HTTP client at the port: serve one
+        // plain-text exchange (the /metrics exposition) and close.
+        frames.consume(4);
+        return Ok(serve_http(&mut frames, engine)?);
+    }
+    let mut conn = ConnState::default();
+    let mut out = Vec::with_capacity(FRAME_BUF);
+    while let Some(payload) = frames.next_frame()? {
+        handle_request(engine, &mut conn, payload, &mut out);
+        stream.write_all(&out)?;
+    }
+    Ok(())
 }
 
 /// Serves one HTTP exchange on a connection whose first four bytes were
 /// `GET ` (already consumed): reads the rest of the request head, answers
 /// `/metrics` with the Prometheus exposition (negotiated to OpenMetrics
 /// when the `Accept` header asks for it), everything else with 404.
-fn serve_http(stream: &mut TcpStream, engine: &SearchEngine, stop: &AtomicBool) -> io::Result<()> {
-    // Read until the end of the request head (bare GETs carry no body).
-    // Cap the head at 8 KiB — more than any scraper sends.
-    let mut head = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") && head.len() < 8192 {
-        if !read_exact_idle(stream, &mut byte, stop)? {
-            break; // EOF or stop: serve what we have
+fn serve_http(frames: &mut FrameReader<&TcpStream>, engine: &SearchEngine) -> io::Result<()> {
+    // Read until the end of the request head (bare GETs carry no body),
+    // starting from what the framing read already buffered.
+    let head_len = loop {
+        let buffered = frames.buffered();
+        if let Some(at) = buffered.windows(4).position(|w| w == b"\r\n\r\n") {
+            break at + 4;
         }
-        head.push(byte[0]);
-    }
+        let have = buffered.len();
+        if have >= HTTP_HEAD_MAX || !frames.fill(have + 1)? {
+            break have.min(HTTP_HEAD_MAX); // EOF or cap: serve what we have
+        }
+    };
     // The request target is the bytes up to the next space ("GET " was
     // already consumed by the framing reader).
-    let head = String::from_utf8_lossy(&head);
+    let head = String::from_utf8_lossy(&frames.buffered()[..head_len]);
     let path = head.split_whitespace().next().unwrap_or("");
     const PROM_TYPE: &str = "text/plain; version=0.0.4";
     const OPENMETRICS_TYPE: &str = "application/openmetrics-text; version=1.0.0; charset=utf-8";
@@ -981,20 +1097,24 @@ fn serve_http(stream: &mut TcpStream, engine: &SearchEngine, stop: &AtomicBool) 
          content-length: {}\r\nconnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(response.as_bytes())
+    frames.inner.write_all(response.as_bytes())
 }
 
-/// Decodes one request, runs it against the engine, encodes the response.
-fn handle_request(engine: &SearchEngine, conn: &mut ConnState, payload: &[u8]) -> Vec<u8> {
-    match decode_and_run(engine, conn, payload) {
-        Ok(ok_body) => ok_body,
-        Err(RequestError::Malformed(msg)) => {
-            let mut out = vec![ST_BAD_REQUEST];
-            out.extend_from_slice(msg.as_bytes());
-            out
+/// Decodes one request, runs it against the engine, and encodes the
+/// response frame into `out`.
+fn handle_request(engine: &SearchEngine, conn: &mut ConnState, payload: &[u8], out: &mut Vec<u8>) {
+    begin_frame(out);
+    if let Err(e) = decode_and_run(engine, conn, payload, out) {
+        out.truncate(FRAME_HEADER); // drop a partly written OK body
+        match e {
+            RequestError::Malformed(msg) => {
+                out.push(ST_BAD_REQUEST);
+                out.extend_from_slice(msg.as_bytes());
+            }
+            RequestError::Service(e) => encode_service_error(&e, out),
         }
-        Err(RequestError::Service(e)) => encode_service_error(&e),
     }
+    end_frame(out);
 }
 
 enum RequestError {
@@ -1018,10 +1138,11 @@ fn decode_and_run(
     engine: &SearchEngine,
     conn: &mut ConnState,
     payload: &[u8],
-) -> Result<Vec<u8>, RequestError> {
+    out: &mut Vec<u8>,
+) -> Result<(), RequestError> {
     let mut c = Cursor::new(payload);
     let op = c.u8()?;
-    let mut out = vec![ST_OK];
+    out.push(ST_OK);
     match op {
         OP_OPEN => {
             let plan = PlanId {
@@ -1036,7 +1157,7 @@ fn decode_and_run(
             let kind = kind_from_code(code)
                 .ok_or_else(|| format!("unknown policy kind tag {}", code.tag))?;
             let handle = engine.open_session(plan, kind)?;
-            put_session_id(&mut out, handle.id());
+            put_session_id(out, handle.id());
         }
         OP_NEXT => {
             let id = c.session_id()?;
@@ -1149,14 +1270,14 @@ fn decode_and_run(
                 _ => current.clone(),
             };
             conn.last_metrics = Some(current);
-            out.extend_from_slice(&encode_snapshot(&reply));
+            encode_snapshot(&reply, out);
         }
         other => return Err(format!("unknown opcode {other:#04x}").into()),
     }
-    Ok(out)
+    Ok(())
 }
 
-fn encode_service_error(e: &ServiceError) -> Vec<u8> {
+fn encode_service_error(e: &ServiceError, out: &mut Vec<u8>) {
     match e {
         ServiceError::AtCapacity {
             live,
@@ -1164,34 +1285,128 @@ fn encode_service_error(e: &ServiceError) -> Vec<u8> {
             retryable,
             oldest_idle,
         } => {
-            let mut out = vec![ST_AT_CAPACITY];
+            out.push(ST_AT_CAPACITY);
             out.extend_from_slice(&(*live as u64).to_le_bytes());
             out.extend_from_slice(&(*limit as u64).to_le_bytes());
             out.push(*retryable as u8);
             out.push(oldest_idle.is_some() as u8);
             out.extend_from_slice(&oldest_idle.unwrap_or(0).to_le_bytes());
-            out
         }
-        ServiceError::UnknownPlan(_) => vec![ST_UNKNOWN_PLAN],
-        ServiceError::UnknownSession(_) => vec![ST_UNKNOWN_SESSION],
+        ServiceError::UnknownPlan(_) => out.push(ST_UNKNOWN_PLAN),
+        ServiceError::UnknownSession(_) => out.push(ST_UNKNOWN_SESSION),
         ServiceError::Core(core) => {
-            let mut out = vec![ST_CORE];
+            out.push(ST_CORE);
             out.extend_from_slice(core.to_string().as_bytes());
-            out
         }
-        ServiceError::PolicyPanicked => vec![ST_POLICY_PANICKED],
+        ServiceError::PolicyPanicked => out.push(ST_POLICY_PANICKED),
         ServiceError::Durability(detail) => {
-            let mut out = vec![ST_DURABILITY];
+            out.push(ST_DURABILITY);
             out.extend_from_slice(detail.as_bytes());
-            out
         }
-        ServiceError::Degraded => vec![ST_DEGRADED],
+        ServiceError::Degraded => out.push(ST_DEGRADED),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+
+    /// A reader that hands out one chunk (or as much of it as fits) per
+    /// `read` call, then EOF, counting the calls.
+    struct Chunks {
+        chunks: VecDeque<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Chunks {
+        fn new(chunks: impl IntoIterator<Item = Vec<u8>>) -> Chunks {
+            Chunks {
+                chunks: chunks.into_iter().collect(),
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Chunks {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let Some(chunk) = self.chunks.front_mut() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            chunk.drain(..n);
+            if chunk.is_empty() {
+                self.chunks.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        begin_frame(&mut out);
+        out.extend_from_slice(payload);
+        end_frame(&mut out);
+        out
+    }
+
+    fn payloads() -> Vec<Vec<u8>> {
+        (0..5u8).map(|i| vec![i; 3 + 40 * i as usize]).collect()
+    }
+
+    /// Reads every frame, checking each payload, and returns the read
+    /// calls it took; the stream must then end cleanly.
+    fn read_all(frames: &mut FrameReader<Chunks>, want: &[Vec<u8>]) -> usize {
+        for payload in want {
+            assert_eq!(frames.next_frame().unwrap(), Some(&payload[..]));
+        }
+        let reads = frames.inner.reads;
+        assert_eq!(frames.next_frame().unwrap(), None);
+        reads
+    }
+
+    #[test]
+    fn frame_reader_takes_one_read_per_frame_at_most() {
+        let want = payloads();
+        let mut one_per_read = FrameReader::new(Chunks::new(want.iter().map(|p| frame(p))));
+        assert_eq!(read_all(&mut one_per_read, &want), want.len());
+        let together: Vec<u8> = want.iter().flat_map(|p| frame(p)).collect();
+        let mut together = FrameReader::new(Chunks::new([together]));
+        assert_eq!(read_all(&mut together, &want), 1);
+    }
+
+    #[test]
+    fn frame_reader_rebuilds_a_frame_fed_a_byte_at_a_time() {
+        let payload: Vec<u8> = (0..=255).collect();
+        let bytes = frame(&payload);
+        let mut frames = FrameReader::new(Chunks::new(bytes.iter().map(|&b| vec![b])));
+        assert_eq!(read_all(&mut frames, &[payload]), bytes.len());
+    }
+
+    #[test]
+    fn frame_reader_grows_for_a_large_frame_and_keeps_what_follows() {
+        let want = vec![vec![7; 3 * FRAME_BUF], vec![9; 5]];
+        let bytes: Vec<u8> = want.iter().flat_map(|p| frame(p)).collect();
+        let mut frames = FrameReader::new(Chunks::new([bytes]));
+        read_all(&mut frames, &want);
+        assert_eq!(frames.buf.len(), FRAME_HEADER + 3 * FRAME_BUF);
+    }
+
+    #[test]
+    fn frame_reader_rejects_oversized_and_truncated_frames() {
+        let oversized = (MAX_FRAME + 1).to_le_bytes().to_vec();
+        match FrameReader::new(Chunks::new([oversized])).next_frame() {
+            Err(WireError::Protocol(msg)) => assert!(msg.contains("cap"), "{msg}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        let truncated = frame(&[1, 2, 3])[..5].to_vec();
+        match FrameReader::new(Chunks::new([truncated])).next_frame() {
+            Err(WireError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("expected an EOF error, got {other:?}"),
+        }
+    }
 
     #[test]
     fn cursor_rejects_truncation_and_trailers() {
@@ -1224,7 +1439,8 @@ mod tests {
             snapshot_bytes: 460_000,
             degraded_transitions: 1,
         };
-        let bytes = encode_snapshot(&snap);
+        let mut bytes = Vec::new();
+        encode_snapshot(&snap, &mut bytes);
         let mut c = Cursor::new(&bytes);
         assert_eq!(decode_snapshot(&mut c).unwrap(), snap);
         c.done().unwrap();
@@ -1238,7 +1454,8 @@ mod tests {
             retryable: true,
             oldest_idle: Some(13),
         };
-        let body = encode_service_error(&e);
+        let mut body = Vec::new();
+        encode_service_error(&e, &mut body);
         assert_eq!(body[0], ST_AT_CAPACITY);
         let mut c = Cursor::new(&body[1..]);
         assert_eq!(c.u64().unwrap(), 7);

@@ -164,32 +164,47 @@ fn faults_are_typed() {
     server.shutdown();
 }
 
-fn raw_roundtrip(addr: std::net::SocketAddr, payload: &[u8]) -> std::io::Result<Vec<u8>> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-    stream.write_all(payload)?;
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
-    stream.read_exact(&mut body)?;
-    Ok(body)
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(payload);
+    frame
 }
 
-/// Malformed requests get a BAD_REQUEST answer; an unframeable length
-/// prefix closes the connection without one.
+/// Writes one request frame on `stream` and reads back its response
+/// payload.
+fn exchange(stream: &mut TcpStream, payload: &[u8]) -> Vec<u8> {
+    stream.write_all(&frame(payload)).unwrap();
+    read_response(stream)
+}
+
+fn read_response(stream: &mut TcpStream) -> Vec<u8> {
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).unwrap();
+    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+    stream.read_exact(&mut body).unwrap();
+    body
+}
+
+/// Malformed requests get a BAD_REQUEST answer and leave the connection
+/// open (the request was framed); an unframeable length prefix closes the
+/// connection without one.
 #[test]
 fn malformed_requests_are_rejected() {
     let (_engine, _plan, server) = serve(1, 8);
     let addr = server.local_addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
 
     // Unknown opcode → status 0x08 + UTF-8 detail.
-    let body = raw_roundtrip(addr, &[0xEE]).unwrap();
+    let body = exchange(&mut stream, &[0xEE]);
     assert_eq!(body[0], 0x08);
     assert!(std::str::from_utf8(&body[1..]).unwrap().contains("opcode"));
 
     // Truncated OPEN body → BAD_REQUEST, not a hang or a crash.
-    let body = raw_roundtrip(addr, &[0x01, 1, 2, 3]).unwrap();
+    let body = exchange(&mut stream, &[0x01, 1, 2, 3]);
     assert_eq!(body[0], 0x08);
+
+    // The same connection still serves a well-formed request (STATS).
+    assert_eq!(exchange(&mut stream, &[0x06])[0], 0x00);
 
     // Oversized length prefix → connection closed with no response frame.
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -201,17 +216,46 @@ fn malformed_requests_are_rejected() {
     server.shutdown();
 }
 
-/// Shutdown unblocks the accept threads and joins them even with an idle
-/// client connected; the port stops answering afterwards.
+/// Requests that arrive together — three frames in one write — are all
+/// served, and answered in request order.
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let (_engine, _plan, server) = serve(1, 8);
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let burst: Vec<u8> = [[0x06], [0xEE], [0x08]]
+        .iter()
+        .flat_map(|p| frame(p))
+        .collect();
+    stream.write_all(&burst).unwrap();
+    // STATS: status, live + peak-live, shards, 11 counters, degraded,
+    // degraded-since, empty reason.
+    let stats = read_response(&mut stream);
+    assert_eq!((stats[0], stats.len()), (0x00, 1 + 16 + 4 + 88 + 1 + 8));
+    assert_eq!(read_response(&mut stream)[0], 0x08, "unknown opcode");
+    // SHARD_STATS: status, count 1, one row of shard + 12 counters.
+    let shards = read_response(&mut stream);
+    assert_eq!((shards[0], shards.len()), (0x00, 1 + 4 + 4 + 96));
+    server.shutdown();
+}
+
+/// Shutdown returns promptly with clients connected — one served (its
+/// thread blocked reading the next request) and one never accepted — and
+/// the port stops answering afterwards.
 #[test]
 fn shutdown_is_prompt() {
     let (_engine, _plan, server) = serve(1, 8);
     let addr = server.local_addr();
+    let mut served = WireClient::connect(addr).unwrap();
+    served.stats().unwrap();
     let _idle = TcpStream::connect(addr).unwrap();
-    server.shutdown(); // must not hang on the idle connection
-                       // A fresh connect may be accepted by the OS backlog, but no thread
-                       // serves it: a request sees EOF (or a refused connect) instead of a
-                       // response.
+    let start = std::time::Instant::now();
+    server.shutdown();
+    let took = start.elapsed();
+    assert!(took < std::time::Duration::from_millis(500), "{took:?}");
+    assert!(served.stats().is_err(), "served after shutdown");
+    // A fresh connect may be accepted by the OS backlog, but no thread
+    // serves it: a request sees EOF (or a refused connect) instead of a
+    // response.
     if let Ok(mut stream) = TcpStream::connect(addr) {
         let _ = stream.write_all(&1u32.to_le_bytes());
         let _ = stream.write_all(&[0x06]);
