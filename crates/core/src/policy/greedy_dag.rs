@@ -72,12 +72,27 @@
 //! the book node it started from, so a pop back onto a booked state —
 //! including the one that empties the journal — lands on a warm frontier,
 //! and a cache-token `reset` lands on the book's root.
+//!
+//! # Memory
+//!
+//! An instance owns only its session: the aggregates `w̃`/`ñ` (12 bytes
+//! a node), the alive bitset, the frontier tags (a byte a node), the cone
+//! and boundary lists and the journal — about 42 KB at n = 3 000. It
+//! shares the plan's constants with every clone of the instance that
+//! derived them: the rounded weights `w` (8 bytes a node) and the opening
+//! book, each behind an `Arc`, computed on a cold `reset` and kept across
+//! token resets. It borrows the per-call buffers (visited marks, BFS
+//! queue, re-root and repair lists, the [`ReachScratch`]) from its
+//! thread's scratch arena, only for the traversal or repair that needs
+//! them.
+//!
+//! [`ReachScratch`]: aigs_graph::ReachScratch
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use aigs_graph::{NodeBitSet, NodeId, ReachIndex, ReachScratch, VisitedSet};
+use aigs_graph::{NodeBitSet, NodeId, ReachIndex};
 
+use crate::policy::scratch::with_scratch;
 use crate::policy::StepJournal;
 use crate::{Policy, SearchContext};
 
@@ -142,11 +157,12 @@ impl BookNode {
 /// unless it lands on a booked state. Under a stable
 /// [`SearchContext::cache_token`], `reset` unwinds the previous session's
 /// journal instead of recomputing (or cloning) the O(n·m) base state, and
-/// lands on the opening book's root; clones share the book.
+/// lands on the opening book's root; clones share the book and the rounded
+/// weights.
 #[derive(Debug, Clone)]
 pub struct GreedyDagPolicy {
-    /// Rounded node weights `w(v)` (Eq. 1).
-    w: Vec<u64>,
+    /// Rounded node weights `w(v)` (Eq. 1), shared by every clone.
+    w: Arc<[u64]>,
     /// `w̃(v)` — rounded weight of the *alive* subgraph of `v`. Entries of
     /// dead nodes are stale (their last alive value): nothing reads a dead
     /// node's aggregate, and revival always happens through the journal,
@@ -200,16 +216,6 @@ pub struct GreedyDagPolicy {
     /// before caching) and clears this.
     fr_rescore: bool,
 
-    // Scratch (never journalled; semantically transparent to rollback).
-    visited: VisitedSet,
-    queue: VecDeque<NodeId>,
-    /// Cone members repaired by the current `observe` (demotion check).
-    touched_cone: Vec<NodeId>,
-    /// Boundary children met by the current re-root walk, pending
-    /// re-qualification against the surviving cone (reused).
-    requal: Vec<NodeId>,
-    /// Shared-reach scratch for base aggregation and doomed repairs.
-    reach: ReachScratch,
     /// Pruned-BFS runs so far (`rebuild_frontier` calls, in either mode)
     /// outside book writing: the exact work counter the re-root drill and
     /// warm-reset tests pin.
@@ -250,7 +256,7 @@ impl GreedyDagPolicy {
 
     fn build(reference: bool) -> Self {
         GreedyDagPolicy {
-            w: Vec::new(),
+            w: Arc::from([]),
             wt: Vec::new(),
             cnt: Vec::new(),
             alive: NodeBitSet::empty(0),
@@ -267,11 +273,6 @@ impl GreedyDagPolicy {
             cone: Vec::new(),
             boundary: Vec::new(),
             fr_rescore: false,
-            visited: VisitedSet::new(0),
-            queue: VecDeque::new(),
-            touched_cone: Vec::new(),
-            requal: Vec::new(),
-            reach: ReachScratch::new(0),
             #[cfg(test)]
             rebuilds: 0,
             #[cfg(test)]
@@ -360,6 +361,13 @@ impl GreedyDagPolicy {
     #[doc(hidden)]
     pub fn shares_opening_book(&self, other: &Self) -> bool {
         matches!((&self.book, &other.book), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+    }
+
+    /// Whether `self` and `other` share one rounded-weight array (both were
+    /// reset, and behind the same `Arc`). Test-facing introspection.
+    #[doc(hidden)]
+    pub fn shares_rounded_weights(&self, other: &Self) -> bool {
+        !self.w.is_empty() && Arc::ptr_eq(&self.w, &other.w)
     }
 
     /// Heap and inline bytes of the opening book (0 without one).
@@ -564,15 +572,14 @@ impl GreedyDagPolicy {
         self.wt.resize(n, 0);
         self.cnt.clear();
         self.cnt.resize(n, 0);
-        if self.visited.capacity() != n {
-            self.visited = VisitedSet::new(n);
-        }
         let index = ctx.reach.unwrap_or(&ReachIndex::Bfs);
-        for v in dag.nodes() {
-            let (wsum, csum) = index.descendant_weight_count(dag, v, w, &mut self.reach);
-            self.wt[v.index()] = wsum;
-            self.cnt[v.index()] = csum;
-        }
+        with_scratch(|s| {
+            for v in dag.nodes() {
+                let (wsum, csum) = index.descendant_weight_count(dag, v, w, &mut s.reach);
+                self.wt[v.index()] = wsum;
+                self.cnt[v.index()] = csum;
+            }
+        });
     }
 
     /// From-scratch frontier derivation: the pruned BFS of Alg. 6
@@ -598,39 +605,42 @@ impl GreedyDagPolicy {
             self.cone.clear();
             self.boundary.clear();
         }
-        self.visited.clear();
-        self.queue.clear();
-        self.visited.insert(r);
-        self.queue.push_back(r);
         let mut best: Option<(u64, NodeId)> = None;
-        while let Some(u) = self.queue.pop_front() {
-            for &c in ctx.dag.children(u) {
-                if !self.alive.contains(c) || !self.visited.insert(c) {
-                    continue;
-                }
-                let s = self.score(count_mode, c);
-                let balance = (2 * s).abs_diff(total);
-                let better = match best {
-                    None => true,
-                    Some((bb, bc)) => balance < bb || (balance == bb && c < bc),
-                };
-                if better {
-                    best = Some((balance, c));
-                }
-                // Children with 2·w̃ ≤ w̃(r) dominate their descendants:
-                // prune the subtree.
-                if 2 * s > total {
-                    self.queue.push_back(c);
-                    if record {
-                        self.fr_state[c.index()] = FR_CONE;
-                        self.cone.push((c, s));
+        with_scratch(|s| {
+            s.visited.grow(ctx.dag.node_count());
+            s.visited.clear();
+            s.queue.clear();
+            s.visited.insert(r);
+            s.queue.push_back(r);
+            while let Some(u) = s.queue.pop_front() {
+                for &c in ctx.dag.children(u) {
+                    if !self.alive.contains(c) || !s.visited.insert(c) {
+                        continue;
                     }
-                } else if record {
-                    self.fr_state[c.index()] = FR_BOUNDARY;
-                    self.boundary.push((c, s));
+                    let sc = self.score(count_mode, c);
+                    let balance = (2 * sc).abs_diff(total);
+                    let better = match best {
+                        None => true,
+                        Some((bb, bc)) => balance < bb || (balance == bb && c < bc),
+                    };
+                    if better {
+                        best = Some((balance, c));
+                    }
+                    // Children with 2·w̃ ≤ w̃(r) dominate their descendants:
+                    // prune the subtree.
+                    if 2 * sc > total {
+                        s.queue.push_back(c);
+                        if record {
+                            self.fr_state[c.index()] = FR_CONE;
+                            self.cone.push((c, sc));
+                        }
+                    } else if record {
+                        self.fr_state[c.index()] = FR_BOUNDARY;
+                        self.boundary.push((c, sc));
+                    }
                 }
             }
-        }
+        });
         if record {
             self.fr_valid = true;
             self.fr_root = r;
@@ -706,33 +716,35 @@ impl GreedyDagPolicy {
         // invalidates the frontier, so no undo relies on them), and a
         // boundary child pushed twice through diamond parents is merely
         // re-qualified idempotently.
-        self.queue.clear();
-        self.queue.push_back(self.fr_root);
-        while let Some(u) = self.queue.pop_front() {
-            for &c in ctx.dag.children(u) {
-                match self.fr_state[c.index()] {
-                    FR_CONE if !mask.contains(c) => {
-                        self.fr_state[c.index()] = FR_OUT;
-                        self.queue.push_back(c);
+        let fr_state = &mut self.fr_state;
+        with_scratch(|s| {
+            s.queue.clear();
+            s.requal.clear();
+            s.queue.push_back(self.fr_root);
+            while let Some(u) = s.queue.pop_front() {
+                for &c in ctx.dag.children(u) {
+                    match fr_state[c.index()] {
+                        FR_CONE if !mask.contains(c) => {
+                            fr_state[c.index()] = FR_OUT;
+                            s.queue.push_back(c);
+                        }
+                        FR_BOUNDARY => s.requal.push(c),
+                        _ => {}
                     }
-                    FR_BOUNDARY => self.requal.push(c),
-                    _ => {}
                 }
             }
-        }
-        for i in 0..self.requal.len() {
-            let b = self.requal[i];
-            let keep = mask.contains(b)
-                && ctx
-                    .dag
-                    .parents(b)
-                    .iter()
-                    .any(|&p| p == r || self.fr_state[p.index()] == FR_CONE);
-            if !keep {
-                self.fr_state[b.index()] = FR_OUT;
+            for &b in &s.requal {
+                let keep = mask.contains(b)
+                    && ctx
+                        .dag
+                        .parents(b)
+                        .iter()
+                        .any(|&p| p == r || fr_state[p.index()] == FR_CONE);
+                if !keep {
+                    fr_state[b.index()] = FR_OUT;
+                }
             }
-        }
-        self.requal.clear();
+        });
         self.fr_root = r;
         self.fr_count_mode = count_mode;
         true
@@ -756,65 +768,66 @@ impl GreedyDagPolicy {
         }
         let index = ctx.reach.unwrap_or(&ReachIndex::Bfs);
         let total = (self.wt[q.index()], self.cnt[q.index()]);
-        self.touched_cone.clear();
-        let journal = &mut self.journal;
-        let wt = &mut self.wt;
-        let cnt = &mut self.cnt;
-        let fr_state = &self.fr_state;
-        let touched = &mut self.touched_cone;
         let watch = self.fr_valid && self.fr_root == self.root;
-        let (doomed, words) = index.doomed_contributions(
-            ctx.dag,
-            q,
-            total,
-            &self.alive,
-            &self.w,
-            &mut self.reach,
-            |p, wv, cv| {
-                journal.log_u64(p.index(), wt[p.index()]);
-                journal.log_u32(p.index(), cnt[p.index()]);
-                wt[p.index()] -= wv;
-                cnt[p.index()] -= cv;
-                if watch && fr_state[p.index()] == FR_CONE {
-                    touched.push(p);
-                }
-            },
-        );
-        // The nodes die, one journalled alive word per non-zero mask word.
-        // Frontier tags of dead nodes go stale on purpose: every reader
-        // checks `alive` first.
-        for &i in words {
-            let i = i as usize;
-            let old = self.alive.word(i);
-            self.journal.log_word(i, old);
-            self.alive.set_word(i, old & !doomed.word(i));
-        }
-        // Frontier bookkeeping: the two non-local events — the count-mode
-        // fallback flipping (the alive rounded weight hit zero) and a
-        // repaired cone member falling light — invalidate the frontier;
-        // the next `select` rebuilds it from scratch. A doom landing while
-        // the frontier still describes an *earlier* root also invalidates:
-        // the retained member scores are now stale, so re-root reuse would
-        // diverge from the pruned BFS.
-        if self.fr_valid {
-            if self.fr_root != self.root {
-                self.fr_valid = false;
-            } else {
-                let new_mode = self.wt[self.root.index()] == 0;
-                if new_mode != self.fr_count_mode {
+        with_scratch(|s| {
+            s.touched.clear();
+            let journal = &mut self.journal;
+            let wt = &mut self.wt;
+            let cnt = &mut self.cnt;
+            let fr_state = &self.fr_state;
+            let touched = &mut s.touched;
+            let (doomed, words) = index.doomed_contributions(
+                ctx.dag,
+                q,
+                total,
+                &self.alive,
+                &self.w,
+                &mut s.reach,
+                |p, wv, cv| {
+                    journal.log_u64(p.index(), wt[p.index()]);
+                    journal.log_u32(p.index(), cnt[p.index()]);
+                    wt[p.index()] -= wv;
+                    cnt[p.index()] -= cv;
+                    if watch && fr_state[p.index()] == FR_CONE {
+                        touched.push(p);
+                    }
+                },
+            );
+            // The nodes die, one journalled alive word per non-zero mask
+            // word. Frontier tags of dead nodes go stale on purpose: every
+            // reader checks `alive` first.
+            for &i in words {
+                let i = i as usize;
+                let old = self.alive.word(i);
+                self.journal.log_word(i, old);
+                self.alive.set_word(i, old & !doomed.word(i));
+            }
+            // Frontier bookkeeping: the two non-local events — the
+            // count-mode fallback flipping (the alive rounded weight hit
+            // zero) and a repaired cone member falling light — invalidate
+            // the frontier; the next `select` rebuilds it from scratch. A
+            // doom landing while the frontier still describes an *earlier*
+            // root also invalidates: the retained member scores are now
+            // stale, so re-root reuse would diverge from the pruned BFS.
+            if self.fr_valid {
+                if self.fr_root != self.root {
                     self.fr_valid = false;
                 } else {
-                    let total = self.score(new_mode, self.root);
-                    for i in 0..self.touched_cone.len() {
-                        let p = self.touched_cone[i];
-                        if 2 * self.score(new_mode, p) <= total {
+                    let new_mode = self.wt[self.root.index()] == 0;
+                    if new_mode != self.fr_count_mode {
+                        self.fr_valid = false;
+                    } else {
+                        let total = self.score(new_mode, self.root);
+                        if s.touched
+                            .iter()
+                            .any(|&p| 2 * self.score(new_mode, p) <= total)
+                        {
                             self.fr_valid = false;
-                            break;
                         }
                     }
                 }
             }
-        }
+        });
         // Repairs moved `wt`/`cnt` under surviving list members; their
         // cached scores refresh at the next scan.
         self.fr_rescore = true;
@@ -847,7 +860,7 @@ impl Policy for GreedyDagPolicy {
             self.root = ctx.dag.root();
             return;
         }
-        self.w = ctx.weights.rounded();
+        self.w = ctx.weights.rounded().into();
         self.compute_base(ctx);
         if self.alive.universe() != n {
             self.alive = NodeBitSet::full(n);

@@ -12,6 +12,8 @@
 //! a linear scan over children (O(h·d) per query) and a lazy max-heap
 //! variant (O(h·log d)); the benchmark harness ablates them.
 
+use std::sync::Arc;
+
 use aigs_graph::{NodeId, Tree};
 
 use crate::policy::StepJournal;
@@ -45,11 +47,13 @@ struct TreeStep {
 /// `p̃`/`size` of each repaired ancestor (bit-exact, no float drift on
 /// rollback) plus the detached flip; a *yes* answer is payload-only. Under
 /// a stable [`SearchContext::cache_token`], `reset` unwinds the journal in
-/// O(Δ) instead of re-deriving the tree base arrays in O(n).
+/// O(Δ) instead of re-deriving the tree base arrays in O(n). Clones share
+/// the parent array, a plan constant.
 #[derive(Debug, Clone)]
 pub struct GreedyTreePolicy {
     select_mode: ChildSelect,
-    parent: Vec<NodeId>,
+    /// Tree parent of every node, shared by every clone.
+    parent: Arc<[NodeId]>,
     /// `p̃(v)` — probability mass of the alive subtree of `v`.
     wp: Vec<f64>,
     /// `size(v)` — alive node count of the subtree of `v`.
@@ -60,8 +64,9 @@ pub struct GreedyTreePolicy {
     journal: StepJournal<TreeStep>,
     /// Token the base arrays were derived under.
     base_token: u64,
-    /// Lazy heaps: per node, a max-heap of `(weight, child)` entries;
-    /// entries are validated against current `wp` on pop.
+    /// Lazy heaps ([`ChildSelect::Heap`] only; empty in scan mode): per
+    /// node, a max-heap of `(weight, child)` entries; entries are validated
+    /// against current `wp` on pop.
     heaps: Vec<Vec<(f64, NodeId)>>,
 }
 
@@ -75,7 +80,7 @@ impl GreedyTreePolicy {
     pub fn with_child_select(mode: ChildSelect) -> Self {
         GreedyTreePolicy {
             select_mode: mode,
-            parent: Vec::new(),
+            parent: Arc::from([]),
             wp: Vec::new(),
             size: Vec::new(),
             detached: Vec::new(),
@@ -242,9 +247,7 @@ impl Policy for GreedyTreePolicy {
         }
         let tree = Tree::new(dag)
             .expect("GreedyTreePolicy requires a tree hierarchy; use GreedyDagPolicy for DAGs");
-        self.parent.clear();
-        self.parent
-            .extend((0..n).map(|i| tree.parent(NodeId::new(i))));
+        self.parent = (0..n).map(|i| tree.parent(NodeId::new(i))).collect();
         self.wp = tree.subtree_weights(ctx.weights.as_slice());
         self.size.clear();
         self.size
@@ -253,11 +256,13 @@ impl Policy for GreedyTreePolicy {
         self.detached.resize(n, false);
         self.root = dag.root();
         self.journal.clear();
-        self.heaps.truncate(n);
-        for h in &mut self.heaps {
-            h.clear();
+        if self.select_mode == ChildSelect::Heap {
+            self.heaps.truncate(n);
+            for h in &mut self.heaps {
+                h.clear();
+            }
+            self.heaps.resize(n, Vec::new());
         }
-        self.heaps.resize(n, Vec::new());
         self.base_token = ctx.cache_token;
     }
 

@@ -27,6 +27,7 @@ pub mod journal;
 mod migs;
 mod optimal;
 mod random;
+mod scratch;
 mod top_down;
 mod wigs;
 

@@ -20,8 +20,11 @@
 //! query transcript) are bit-equal across backends, at sizes where the
 //! quadratic closure cannot even allocate.
 
-use aigs_graph::{NodeBitSet, NodeId, ReachIndex, ReachScratch, Tree};
+use std::sync::Arc;
 
+use aigs_graph::{NodeBitSet, NodeId, ReachIndex, Tree};
+
+use crate::policy::scratch::with_scratch;
 use crate::policy::StepJournal;
 use crate::{InstanceCache, Policy, SearchContext};
 
@@ -40,8 +43,9 @@ pub struct WigsPolicy {
     mode: Mode,
     /// Reachability backend built by the policy itself when the context
     /// does not share one — [`ReachIndex::auto`] picks closure vs interval
-    /// by size (kept across resets under a matching cache token).
-    own_index: InstanceCache<ReachIndex>,
+    /// by size (kept across resets under a matching cache token, and
+    /// shared by every clone).
+    own_index: InstanceCache<Arc<ReachIndex>>,
     /// Token the current mode state was derived under (journal-unwind reset).
     base_token: u64,
 }
@@ -232,9 +236,6 @@ struct DagState {
     hi: usize,
     active: bool,
     journal: StepJournal<WigsStep>,
-    /// DFS scratch for the non-closure backends (untouched by the closure
-    /// fast path; never part of undo state).
-    scratch: ReachScratch,
 }
 
 impl DagState {
@@ -249,7 +250,6 @@ impl DagState {
             hi: 0,
             active: false,
             journal: StepJournal::new(),
-            scratch: ReachScratch::new(n),
         }
     }
 
@@ -269,10 +269,10 @@ impl DagState {
         self.chain.clear();
         self.chain.push(self.root);
         let mut u = self.root;
-        loop {
+        with_scratch(|s| loop {
             let mut best: Option<(usize, NodeId)> = None;
             for &c in ctx.dag.children(u) {
-                let carried = index.intersection_count(ctx.dag, c, &self.alive, &mut self.scratch);
+                let carried = index.intersection_count(ctx.dag, c, &self.alive, &mut s.reach);
                 if carried == 0 {
                     continue;
                 }
@@ -292,7 +292,7 @@ impl DagState {
                 }
                 None => break,
             }
-        }
+        });
         debug_assert!(
             self.chain.len() >= 2,
             "unresolved root carries candidates below"
@@ -320,25 +320,29 @@ impl DagState {
         // Word-granular candidate update: journal only the blocks the answer
         // changes instead of cloning the whole bitset. The closure backend
         // hands out its stored row; interval/BFS backends derive the same
-        // row by DFS into the scratch — either way `gq` is identical, so the
-        // journalled `(word, old)` deltas are bit-equal across backends.
-        let gq = index.descendants(dag, q, &mut self.scratch);
+        // row by DFS into the thread's scratch — either way `gq` is
+        // identical, so the journalled `(word, old)` deltas are bit-equal
+        // across backends.
         let alive = &mut self.alive;
         let journal = &mut self.journal;
-        let mut killed = 0u32;
-        for i in 0..alive.word_count() {
-            let old = alive.word(i);
-            let new = if yes {
-                old & gq.word(i) // keep G_q
-            } else {
-                old & !gq.word(i) // drop G_q
-            };
-            if new != old {
-                journal.log_word(i, old);
-                alive.set_word(i, new);
-                killed += (old ^ new).count_ones();
+        let killed = with_scratch(|s| {
+            let gq = index.descendants(dag, q, &mut s.reach);
+            let mut killed = 0u32;
+            for i in 0..alive.word_count() {
+                let old = alive.word(i);
+                let new = if yes {
+                    old & gq.word(i) // keep G_q
+                } else {
+                    old & !gq.word(i) // drop G_q
+                };
+                if new != old {
+                    journal.log_word(i, old);
+                    alive.set_word(i, new);
+                    killed += (old ^ new).count_ones();
+                }
             }
-        }
+            killed
+        });
         self.count -= killed as usize;
         if yes {
             self.root = q;
@@ -406,7 +410,7 @@ impl WigsPolicy {
 /// simultaneous `&mut mode` borrow.
 fn pick_index<'s>(
     ctx_reach: Option<&'s ReachIndex>,
-    own: &'s InstanceCache<ReachIndex>,
+    own: &'s InstanceCache<Arc<ReachIndex>>,
 ) -> &'s ReachIndex {
     match ctx_reach {
         Some(c) => c,
@@ -442,7 +446,7 @@ impl Policy for WigsPolicy {
         }
         if ctx.reach.is_none() {
             self.own_index
-                .get_or_insert_with(ctx.cache_token, || ReachIndex::auto(ctx.dag));
+                .get_or_insert_with(ctx.cache_token, || Arc::new(ReachIndex::auto(ctx.dag)));
         }
         if reusable {
             if let Mode::Dag(d) = &mut self.mode {

@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use aigs_core::policy::GreedyDagPolicy;
+use aigs_core::policy::{GreedyDagPolicy, WigsPolicy};
 use aigs_core::{fresh_cache_token, Policy, SearchContext, SessionStep, SessionStepper};
 use aigs_graph::{dag_from_edges, Dag, NodeId};
 use aigs_testutil::{
@@ -769,5 +769,141 @@ fn count_mode_flip_mid_session_is_differential_clean() {
         );
         p.observe(&ctx, want_t[flipped_at].0, want_t[flipped_at].1);
         assert_eq!(p.select(&ctx), next, "{label}: re-advance diverged");
+    }
+}
+
+/// Every truthful transcript on `g` for the policy `make` builds, one per
+/// target, driven without a cache token on a thread of its own: a fresh
+/// scratch arena and no other session interleaved.
+fn transcripts_apart(
+    g: &Dag,
+    ctx: &SearchContext<'_>,
+    make: fn() -> Box<dyn Policy>,
+) -> Vec<Transcript> {
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            g.nodes()
+                .map(|z| drive_transcript(make().as_mut(), ctx, z, "apart").0)
+                .collect()
+        })
+        .join()
+        .unwrap()
+    })
+}
+
+/// One interleaved session: its policy, plan, target and answers so far.
+struct Live<'a> {
+    policy: Box<dyn Policy>,
+    ctx: SearchContext<'a>,
+    want: &'a [Transcript],
+    target: usize,
+    prefix: Transcript,
+}
+
+impl Live<'_> {
+    fn reset(&mut self, target: usize) {
+        self.target = target;
+        self.policy.reset(&self.ctx);
+        self.prefix.clear();
+    }
+
+    /// Checks resolution against the transcript run apart.
+    fn check(&self, label: &str) -> Result<(), TestCaseError> {
+        let want = &self.want[self.target];
+        match self.policy.resolved() {
+            Some(z) => {
+                prop_assert_eq!(z.index(), self.target, "{}", label);
+                prop_assert_eq!(self.prefix.len(), want.len(), "{}", label);
+            }
+            None => prop_assert!(self.prefix.len() < want.len(), "{}", label),
+        }
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The per-thread scratch arena under interleaving: greedy-dag and
+    /// WIGS sessions on two random DAGs of different sizes advance step by
+    /// step on one thread, with undos and token resets, so every traversal
+    /// and repair borrows buffers the other plan's sessions last used.
+    /// Every question must be the one the from-scratch reference
+    /// (greedy-dag) or a fresh instance (WIGS) asks on a thread of its own,
+    /// under every backend. The greedy-dag sessions run on clones of a warm
+    /// prototype, sharing its rounded weights and opening book.
+    #[test]
+    fn interleaved_sessions_on_two_plans_match_sessions_run_apart(
+        n_big in 24usize..64,
+        n_small in 3usize..16,
+        frac in 0.05f64..0.4,
+        seed in 0u64..10_000,
+        // (session, op, salt): op 0-1 step, 2 undo, 3 reset to target salt
+        script in prop::collection::vec((0usize..4, 0u8..4, 0usize..64), 1..96),
+    ) {
+        let plans = [dag_from_seed(n_big, frac, seed), dag_from_seed(n_small, frac, seed ^ 1)];
+        let weights = plans.each_ref().map(|g| generic_weights(g.node_count(), seed));
+        let indexes = plans.each_ref().map(|g| backends(g, seed));
+        for ((backend_name, big), (_, small)) in indexes[0].iter().zip(&indexes[1]) {
+            let reach = [big, small];
+            let ctx = [0, 1].map(|p| {
+                let base = SearchContext::new(&plans[p], &weights[p]);
+                match reach[p] {
+                    Some(ix) => base.with_reach(ix),
+                    None => base,
+                }
+            });
+            let greedy: [Vec<Transcript>; 2] = [0, 1].map(|p| {
+                transcripts_apart(&plans[p], &ctx[p], || Box::new(GreedyDagPolicy::reference()))
+            });
+            let wigs: [Vec<Transcript>; 2] = [0, 1].map(|p| {
+                transcripts_apart(&plans[p], &ctx[p], || Box::new(WigsPolicy::new()))
+            });
+            let mut live: Vec<Live<'_>> = Vec::new();
+            for p in 0..2 {
+                let ctx = ctx[p].with_cache_token(fresh_cache_token());
+                let mut proto = GreedyDagPolicy::new();
+                proto.reset(&ctx);
+                let _ = proto.select(&ctx);
+                live.push(Live {
+                    policy: Box::new(proto.clone()),
+                    ctx,
+                    want: &greedy[p],
+                    target: 0,
+                    prefix: Vec::new(),
+                });
+                live.push(Live {
+                    policy: Box::new(WigsPolicy::new()),
+                    ctx,
+                    want: &wigs[p],
+                    target: 0,
+                    prefix: Vec::new(),
+                });
+            }
+            for s in &mut live {
+                let target = seed as usize % s.ctx.dag.node_count();
+                s.reset(target);
+            }
+            for (op_no, &(i, op, salt)) in script.iter().enumerate() {
+                let s = &mut live[i];
+                let label = format!("backend {backend_name}, session {i}, op {op_no}");
+                match op {
+                    2 if !s.prefix.is_empty() => {
+                        s.policy.unobserve(&s.ctx);
+                        s.prefix.pop();
+                    }
+                    3 => s.reset(salt % s.ctx.dag.node_count()),
+                    _ if s.policy.resolved().is_none() => {
+                        let want = s.want[s.target][s.prefix.len()];
+                        let q = s.policy.select(&s.ctx);
+                        prop_assert_eq!(q, want.0, "{}", label);
+                        s.policy.observe(&s.ctx, q, want.1);
+                        s.prefix.push(want);
+                    }
+                    _ => {}
+                }
+                s.check(&label)?;
+            }
+        }
     }
 }

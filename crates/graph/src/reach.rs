@@ -88,6 +88,14 @@ impl NodeBitSet {
         self.bits.fill(0);
     }
 
+    /// Resets to the empty set over `n` ids, reusing the allocation: no
+    /// allocation when the set has held a universe of `n` or more ids.
+    pub fn reset_empty(&mut self, n: usize) {
+        self.bits.clear();
+        self.bits.resize(blocks_for(n), 0);
+        self.n = n;
+    }
+
     /// Resets to the full set without reallocating.
     pub fn fill(&mut self) {
         let n = self.n;

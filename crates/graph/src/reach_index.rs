@@ -20,9 +20,9 @@
 //! closure below [`AUTO_CLOSURE_MAX_NODES`] and the interval tier above.
 //!
 //! Set operations on the DFS backends need scratch buffers; callers hold a
-//! [`ReachScratch`] (one per policy/session, reused across queries) so the
-//! hot path stays allocation-free, matching the `StepJournal` discipline of
-//! the policy layer.
+//! [`ReachScratch`] (reused across queries and graphs; the policy layer
+//! keeps one per thread) so the hot path stays allocation-free, matching
+//! the `StepJournal` discipline of the policy layer.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -58,9 +58,12 @@ pub enum ReachIndex {
     Bfs,
 }
 
-/// Reusable buffers for the DFS-based [`ReachIndex`] operations. One
-/// instance per policy/session; every operation clears what it uses, so the
-/// scratch carries no state between calls.
+/// Reusable buffers for the DFS-based [`ReachIndex`] operations. Every
+/// operation clears what it uses, so the scratch carries no state between
+/// calls and one instance can serve any number of policies and graphs in
+/// turn. The buffers grow to the largest graph served and never shrink:
+/// alternating between graphs allocates nothing once the largest has been
+/// seen.
 #[derive(Debug, Clone)]
 pub struct ReachScratch {
     /// Descendant-row output (doubles as the DFS visited set when filling,
@@ -79,9 +82,10 @@ pub struct ReachScratch {
     /// Partial ancestors of the most recent doomed repair, in discovery
     /// order.
     affected: Vec<NodeId>,
-    /// Per-node weight accumulator of the doomed walks. Invariant:
-    /// all-zero between calls (re-zeroed along `affected`, never by a full
-    /// sweep).
+    /// Per-node weight accumulator of the doomed walks, at least `row`'s
+    /// universe long. Invariant: all-zero between calls (re-zeroed along
+    /// `affected`, never by a full sweep, except by
+    /// [`ReachScratch::scrub`]).
     acc_weight: Vec<u64>,
     /// Per-node count accumulator; same all-zero invariant.
     acc_count: Vec<u32>,
@@ -143,14 +147,26 @@ impl ReachScratch {
         None
     }
 
-    /// Re-sizes the buffers when the graph changed (no-op otherwise).
+    /// Restores the all-zero accumulators after an operation that did not
+    /// return (an `emit` callback that panicked mid-repair). Every other
+    /// buffer is cleared by the next operation that uses it.
+    pub fn scrub(&mut self) {
+        self.acc_weight.fill(0);
+        self.acc_count.fill(0);
+    }
+
+    /// Re-targets the bitsets at a graph of `n` nodes when the graph
+    /// changed (no-op otherwise), growing the per-node buffers only past
+    /// the largest graph seen so far.
     fn ensure(&mut self, n: usize) {
         if self.row.universe() != n {
-            self.row = NodeBitSet::empty(n);
-            self.fence = NodeBitSet::empty(n);
-            self.visited = VisitedSet::new(n);
-            self.acc_weight = vec![0; n];
-            self.acc_count = vec![0; n];
+            self.row.reset_empty(n);
+            self.fence.reset_empty(n);
+            self.visited.grow(n);
+            if self.acc_weight.len() < n {
+                self.acc_weight.resize(n, 0);
+                self.acc_count.resize(n, 0);
+            }
         }
     }
 }
@@ -1013,5 +1029,9 @@ mod tests {
             big.reaches(root, deep)
         );
         assert_eq!(scratch.universe(), big.node_count());
+        // And back: the bitsets re-target the small graph in place.
+        assert!(index.reaches_with(&small, NodeId::new(0), NodeId::new(4), &mut scratch));
+        assert!(!index.reaches_with(&small, NodeId::new(5), NodeId::new(4), &mut scratch));
+        assert_eq!(scratch.universe(), small.node_count());
     }
 }

@@ -29,6 +29,15 @@ impl VisitedSet {
         self.stamp.len()
     }
 
+    /// Makes room for at least `n` ids, keeping the marks; never shrinks,
+    /// so a set shared by graphs of several sizes allocates only when the
+    /// largest one grows.
+    pub fn grow(&mut self, n: usize) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+        }
+    }
+
     /// Clears the set in O(1) (amortised; a full rewrite happens once every
     /// `u32::MAX` clears to avoid stale stamps on wrap-around).
     pub fn clear(&mut self) {
