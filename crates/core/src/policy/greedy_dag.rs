@@ -31,18 +31,12 @@
 //! * a shrinking total promotes boundary nodes into the cone; `select`
 //!   re-scans the flat frontier lists, promoting and expanding where
 //!   `2·w̃ > w̃(r)` now holds (each promotion scans its children once);
-//! * a *yes* answer re-roots at `q`; when `q` was a member of the current
-//!   heavy cone **and** the reach index stores `G_q` as a materialised row
-//!   ([`aigs_graph::ReachIndex::stored_mask`]), the next `select`
-//!   **re-roots onto the already-computed sub-frontier**: surviving cone
-//!   members are exactly the old cone ∩ `G_q` (they stay heavy under the
-//!   smaller total), surviving boundary members are the old boundary ∩
-//!   `G_q` entries with a parent in the new cone, and the ordinary
-//!   promotion cascade discovers everything the shrunken total newly
-//!   uncovers — bit-identical to the pruned BFS from `q`, without
-//!   re-walking the cone's edges. Without a stored row (trees and DAGs
-//!   alike) the mask itself would cost a DFS over `G_q`, so the policy
-//!   rebuilds from scratch instead;
+//! * a *yes* answer re-roots at `q` and **invalidates** the frontier: the
+//!   next `select` runs the pruned BFS from `q`, the one the reference
+//!   mode runs every round. (The new cone is the old cone ∩ `G_q` plus
+//!   what the smaller total uncovers, but deriving it from the old one
+//!   saves only that BFS, which on `imagenet_like` is inside the
+//!   benchmark's noise);
 //! * the rare non-local events — a cone member falling light (demotion) or
 //!   the `count_mode` fallback flipping because the alive rounded weight
 //!   hit zero — conservatively invalidate the frontier; the next `select`
@@ -67,11 +61,12 @@
 //! current value before writing the stored one, so undo, token reset and
 //! crash recovery cannot tell it from a computed step) and moves the
 //! book cursor; the next `select` returns the stored pick without a scan.
-//! Any other `observe` first swaps the node's lists and tags in as the
-//! live frontier, then takes the ordinary path. Each journal step records
-//! the book node it started from, so a pop back onto a booked state —
-//! including the one that empties the journal — lands on a warm frontier,
-//! and a cache-token `reset` lands on the book's root.
+//! Any other *no* first swaps the node's lists and tags in as the live
+//! frontier, then takes the ordinary path; any other *yes* just leaves the
+//! book, since the rebuild that follows needs no lists. Each journal step
+//! records the book node it started from, so a pop back onto a booked
+//! state — including the one that empties the journal — lands on a warm
+//! frontier, and a cache-token `reset` lands on the book's root.
 //!
 //! # Memory
 //!
@@ -82,9 +77,8 @@
 //! derived them: the rounded weights `w` (8 bytes a node) and the opening
 //! book, each behind an `Arc`, computed on a cold `reset` and kept across
 //! token resets. It borrows the per-call buffers (visited marks, BFS
-//! queue, re-root and repair lists, the [`ReachScratch`]) from its
-//! thread's scratch arena, only for the traversal or repair that needs
-//! them.
+//! queue, repair list, the [`ReachScratch`]) from its thread's scratch
+//! arena, only for the traversal or repair that needs them.
 //!
 //! [`ReachScratch`]: aigs_graph::ReachScratch
 
@@ -190,10 +184,9 @@ pub struct GreedyDagPolicy {
     /// (but still tag-consistent).
     at_book: Option<u32>,
 
-    // Persistent frontier (valid when `fr_valid` and `fr_root`/
-    // `fr_count_mode` match the current root and mode).
+    // Persistent frontier of the current root (valid when `fr_valid` and
+    // `fr_count_mode` matches the current mode).
     fr_valid: bool,
-    fr_root: NodeId,
     fr_count_mode: bool,
     /// Per-node frontier tag (`FR_OUT`/`FR_BOUNDARY`/`FR_CONE`). Tags of
     /// dead nodes are stale until revival; every reader checks `alive`
@@ -217,8 +210,8 @@ pub struct GreedyDagPolicy {
     fr_rescore: bool,
 
     /// Pruned-BFS runs so far (`rebuild_frontier` calls, in either mode)
-    /// outside book writing: the exact work counter the re-root drill and
-    /// warm-reset tests pin.
+    /// outside book writing: the exact work counter the warm-reset and
+    /// opening-book tests pin.
     #[cfg(test)]
     rebuilds: usize,
     /// `doomed_contributions` calls so far, outside book writing.
@@ -267,7 +260,6 @@ impl GreedyDagPolicy {
             book: None,
             at_book: None,
             fr_valid: false,
-            fr_root: NodeId::SENTINEL,
             fr_count_mode: false,
             fr_state: Vec::new(),
             cone: Vec::new(),
@@ -351,9 +343,7 @@ impl GreedyDagPolicy {
         !self.reference
             && !self.root.is_sentinel()
             && (self.at_book.is_some()
-                || (self.fr_valid
-                    && self.fr_root == self.root
-                    && self.fr_count_mode == (self.wt[self.root.index()] == 0)))
+                || (self.fr_valid && self.fr_count_mode == (self.wt[self.root.index()] == 0)))
     }
 
     /// Whether `self` and `other` share one opening book (both hold one,
@@ -470,7 +460,6 @@ impl GreedyDagPolicy {
             self.fr_state[x.index()] = FR_BOUNDARY;
         }
         self.fr_valid = true;
-        self.fr_root = node.root;
         self.fr_count_mode = node.count_mode;
         self.fr_rescore = false;
     }
@@ -542,7 +531,7 @@ impl GreedyDagPolicy {
     /// A book node for the current state, right after a `select` that
     /// returned `pick` on the live path (no redo deltas, no children).
     fn booked_state(&self, pick: NodeId) -> BookNode {
-        debug_assert!(self.fr_valid && self.fr_root == self.root);
+        debug_assert!(self.fr_valid);
         BookNode {
             root: self.root,
             count_mode: self.fr_count_mode,
@@ -643,111 +632,10 @@ impl GreedyDagPolicy {
         });
         if record {
             self.fr_valid = true;
-            self.fr_root = r;
             self.fr_count_mode = count_mode;
             self.fr_rescore = false;
         }
         best.expect("unresolved root has an alive child").1
-    }
-
-    /// Re-root reuse: after a *yes* at a node that was a member of the
-    /// still-valid heavy cone, derive the new root's frontier from the
-    /// existing one in **O(dropped region)** instead of re-running the
-    /// pruned BFS over the whole surviving cone. The walk starts at the old
-    /// root and descends only through cone members *outside* `G_root`
-    /// (descendants of a survivor are survivors, so pruning at the `G_root`
-    /// mask is exact), clearing their tags; boundary children met along the
-    /// way are re-qualified against the surviving cone. List entries are
-    /// not touched here — the dropped tags make them stale, and the next
-    /// `select` scan compacts stale entries out as it passes (the lists are
-    /// *consistent garbage*: every reader is tag-checked).
-    ///
-    /// Returns `false` (caller rebuilds) when the frontier is invalid, the
-    /// new root was not a cone member, or the reach backend has no
-    /// materialised row for it (without one the mask itself would cost a
-    /// DFS over `G_root` — more than the rebuild it replaces).
-    ///
-    /// Exactness (every claim backed by `w̃`-monotonicity over the
-    /// ancestor-closed alive set, and proven wholesale by the differential
-    /// suite):
-    /// * modes agree — a cone member's score is pinned strictly positive in
-    ///   weight mode and zero-total in count mode, so `fr_count_mode` never
-    ///   disagrees with the new root's mode;
-    /// * the new total `w̃(root)` is ≤ the old one, so old cone members in
-    ///   `G_root` are still heavy and cone membership stays the same local
-    ///   predicate the BFS applies — old cone ∩ `G_root` minus the root is
-    ///   exactly the surviving cone. The walk unreaches exactly its
-    ///   complement: dead subtrees are skipped (dead tags are already
-    ///   stale to every reader), and alive dropped members are all
-    ///   reachable from the old root through alive dropped members (alive
-    ///   is ancestor-closed; an alive path into `G_root` never leaves it);
-    /// * an old boundary member survives iff the BFS from the new root
-    ///   would discover it: some parent is the root or in the new cone (a
-    ///   boundary node whose in-mask parents are all light sits below the
-    ///   pruning line and must drop, even though it is in `G_root`). The
-    ///   re-qualification tests this as `fr_state[p] == FR_CONE` after the
-    ///   walk — exact because a qualifying parent not yet tagged (heavy
-    ///   only under the new total) re-adds the dropped member when the
-    ///   scan's promotion cascade reaches it;
-    /// * nodes the old frontier never discovered (below the old pruning
-    ///   line, heavy only under the new total) enter through the ordinary
-    ///   promotion cascade of the incremental `select` scan, exactly as a
-    ///   BFS would reach them — their ancestors in `G_root` are heavy too,
-    ///   so the promotion chain never stalls.
-    fn try_reroot(&mut self, ctx: &SearchContext<'_>, count_mode: bool) -> bool {
-        let r = self.root;
-        if !self.fr_valid || self.fr_root == r || self.fr_state[r.index()] != FR_CONE {
-            return false;
-        }
-        let Some(mask) = ctx.reach.and_then(|ix| ix.stored_mask(r)) else {
-            return false;
-        };
-        debug_assert!(self.alive.contains(r));
-        debug_assert_eq!(
-            self.fr_count_mode, count_mode,
-            "cone membership pins the balancing mode"
-        );
-        // The new root stops being a member of its own frontier.
-        self.fr_state[r.index()] = FR_OUT;
-        // The FR_CONE → FR_OUT transition doubles as the visited marker (it
-        // fires once per node), so the walk needs no `VisitedSet` and no
-        // alive checks: dead cone-tagged regions are cleared like live ones
-        // (their entries were already invisible to the scan, and undo
-        // invalidates the frontier, so no undo relies on them), and a
-        // boundary child pushed twice through diamond parents is merely
-        // re-qualified idempotently.
-        let fr_state = &mut self.fr_state;
-        with_scratch(|s| {
-            s.queue.clear();
-            s.requal.clear();
-            s.queue.push_back(self.fr_root);
-            while let Some(u) = s.queue.pop_front() {
-                for &c in ctx.dag.children(u) {
-                    match fr_state[c.index()] {
-                        FR_CONE if !mask.contains(c) => {
-                            fr_state[c.index()] = FR_OUT;
-                            s.queue.push_back(c);
-                        }
-                        FR_BOUNDARY => s.requal.push(c),
-                        _ => {}
-                    }
-                }
-            }
-            for &b in &s.requal {
-                let keep = mask.contains(b)
-                    && ctx
-                        .dag
-                        .parents(b)
-                        .iter()
-                        .any(|&p| p == r || fr_state[p.index()] == FR_CONE);
-                if !keep {
-                    fr_state[b.index()] = FR_OUT;
-                }
-            }
-        });
-        self.fr_root = r;
-        self.fr_count_mode = count_mode;
-        true
     }
 
     /// Applies a *no* answer at `q`: repairs every alive ancestor of the
@@ -768,7 +656,7 @@ impl GreedyDagPolicy {
         }
         let index = ctx.reach.unwrap_or(&ReachIndex::Bfs);
         let total = (self.wt[q.index()], self.cnt[q.index()]);
-        let watch = self.fr_valid && self.fr_root == self.root;
+        let watch = self.fr_valid;
         with_scratch(|s| {
             s.touched.clear();
             let journal = &mut self.journal;
@@ -805,27 +693,12 @@ impl GreedyDagPolicy {
             // Frontier bookkeeping: the two non-local events — the
             // count-mode fallback flipping (the alive rounded weight hit
             // zero) and a repaired cone member falling light — invalidate
-            // the frontier; the next `select` rebuilds it from scratch. A
-            // doom landing while the frontier still describes an *earlier*
-            // root also invalidates: the retained member scores are now
-            // stale, so re-root reuse would diverge from the pruned BFS.
+            // the frontier; the next `select` rebuilds it from scratch.
             if self.fr_valid {
-                if self.fr_root != self.root {
-                    self.fr_valid = false;
-                } else {
-                    let new_mode = self.wt[self.root.index()] == 0;
-                    if new_mode != self.fr_count_mode {
-                        self.fr_valid = false;
-                    } else {
-                        let total = self.score(new_mode, self.root);
-                        if s.touched
-                            .iter()
-                            .any(|&p| 2 * self.score(new_mode, p) <= total)
-                        {
-                            self.fr_valid = false;
-                        }
-                    }
-                }
+                let mode = self.fr_count_mode;
+                let total = self.score(mode, self.root);
+                self.fr_valid = (self.wt[self.root.index()] == 0) == mode
+                    && s.touched.iter().all(|&p| 2 * self.score(mode, p) > total);
             }
         });
         // Repairs moved `wt`/`cnt` under surviving list members; their
@@ -874,7 +747,6 @@ impl Policy for GreedyDagPolicy {
         self.fr_rescore = false;
         self.base_token = ctx.cache_token;
         self.fr_valid = false;
-        self.fr_root = NodeId::SENTINEL;
         self.fr_count_mode = false;
         self.fr_state.clear();
         self.fr_state.resize(n, FR_OUT);
@@ -907,8 +779,7 @@ impl Policy for GreedyDagPolicy {
         if self.reference {
             return self.rebuild_frontier(ctx, count_mode, total);
         }
-        let fr_exact = self.fr_valid && self.fr_root == r && self.fr_count_mode == count_mode;
-        if !fr_exact && !self.try_reroot(ctx, count_mode) {
+        if !self.fr_valid || self.fr_count_mode != count_mode {
             let pick = self.rebuild_frontier(ctx, count_mode, total);
             // The base frontier (a book's root is always the base state, so
             // an empty journal here means there is no book yet).
@@ -923,12 +794,11 @@ impl Policy for GreedyDagPolicy {
         // and only upwards (boundary → cone), because unrepaired scores are
         // unchanged and repaired cone members were demotion-checked in
         // `observe`. Scan the flat lists, promoting and expanding as the
-        // pruned BFS would discover. Entries whose tag moved on (re-root
-        // drops, promoted duplicates) are compacted out as the scan passes
-        // — dropping an invisible entry is semantically free. Dead entries
-        // are dropped too, with their tags cleared, so every tagged node
-        // stays a list entry: undo never revives a list (it invalidates the
-        // frontier).
+        // pruned BFS would discover. Entries whose tag moved on are
+        // compacted out as the scan passes — dropping an invisible entry is
+        // semantically free. Dead entries are dropped too, with their tags
+        // cleared, so every tagged node stays a list entry: undo never
+        // revives a list (it invalidates the frontier).
         let mut best: Option<(u64, NodeId)> = None;
         let consider = |s: u64, c: NodeId, best: &mut Option<(u64, NodeId)>| {
             let balance = (2 * s).abs_diff(total);
@@ -985,9 +855,7 @@ impl Policy for GreedyDagPolicy {
             if 2 * s > total {
                 // Promotion: b joins the cone; its alive children join the
                 // boundary and are evaluated by this very loop, cascading
-                // exactly like the pruned BFS expansion. (A member the
-                // re-root walk dropped for want of a tagged parent
-                // re-enters here once that parent is promoted.)
+                // exactly like the pruned BFS expansion.
                 self.fr_state[b.index()] = FR_CONE;
                 self.cone.push((b, s));
                 for &c in ctx.dag.children(b) {
@@ -1015,15 +883,17 @@ impl Policy for GreedyDagPolicy {
             if self.follow_book(at, q, yes) {
                 return;
             }
-            self.leave_book();
         }
         if yes {
-            // Re-root: the frontier arrays still describe the old root; the
-            // next `select` re-roots onto the surviving sub-frontier (or
-            // rebuilds when `q` was not a cone member).
+            // Re-root: the next `select` rebuilds the frontier under `q`.
+            // The live lists stay tag-consistent, so leaving the book
+            // needs no copy of its lists.
+            self.at_book = None;
+            self.fr_valid = false;
             self.root = q;
             return;
         }
+        self.leave_book();
         debug_assert!(self.alive.contains(q));
         debug_assert!(q != self.root, "a *no* at the root empties the space");
         self.doom(ctx, q);
@@ -1177,9 +1047,9 @@ mod tests {
         assert_eq!(p.frontier_snapshot(), base_frontier);
         assert_eq!(p.select(&ctx), first);
 
-        // A yes-first session: the re-root reuses the frontier through the
-        // closure mask, and the token reset still lands on the base
-        // snapshot, so the next session's first select runs no BFS.
+        // A yes-first session: the re-root rebuilds the frontier, and the
+        // token reset still lands on the base snapshot, so the next
+        // session's first select runs no BFS.
         let reach = ReachIndex::closure_for(&g);
         let ctx = ctx.with_reach(&reach);
         let mut p = GreedyDagPolicy::new();
@@ -1287,15 +1157,12 @@ mod drill_probe {
             .collect()
     }
 
-    /// The drill-down regression guard on a dense DAG, through the
-    /// closure backend's reach-mask walk: a *yes* at the first node of each
-    /// rank re-roots one rank down with a multi-rank cone surviving. The
-    /// incremental policy must pick what the from-scratch oracle picks
-    /// while running the pruned BFS once, where the oracle runs it every
-    /// round. A rebuild also leaves a valid frontier, so only the rebuild
-    /// count shows whether re-root reuse still fires.
+    /// A drill down a dense DAG under the closure backend: a *yes* at the
+    /// first node of each rank re-roots one rank down with a multi-rank
+    /// cone surviving. The incremental policy must pick what the
+    /// from-scratch oracle picks in every round.
     #[test]
-    fn lattice_drill_uses_reroot() {
+    fn lattice_drill_matches_reference() {
         let (levels, width) = (24, 16);
         let (g, w) = yes_lattice(levels, width, 0.9);
         let reach = aigs_graph::ReachIndex::closure_for(&g);
@@ -1307,13 +1174,12 @@ mod drill_probe {
             .collect();
         let mut fast = GreedyDagPolicy::new();
         let mut scratch = GreedyDagPolicy::reference();
-        assert!(!g.is_tree(), "the lattice exercises the non-tree walk");
+        assert!(!g.is_tree(), "the lattice is a DAG");
         assert_eq!(
             drill(&mut fast, &ctx, &yes_at),
             drill(&mut scratch, &ctx, &yes_at)
         );
         assert_eq!(scratch.rebuilds, yes_at.len());
-        assert_eq!(fast.rebuilds, 1, "lattice re-root reuse stopped firing");
     }
 
     /// The opening book's work guard: once one session has written the

@@ -28,9 +28,6 @@ pub(crate) struct Scratch {
     pub(crate) queue: VecDeque<NodeId>,
     /// GreedyDAG: cone members a *no* repair touched (demotion check).
     pub(crate) touched: Vec<NodeId>,
-    /// GreedyDAG: boundary nodes the re-root walk met, pending
-    /// re-qualification.
-    pub(crate) requal: Vec<NodeId>,
     /// Buffers of the [`aigs_graph::ReachIndex`] set operations.
     pub(crate) reach: ReachScratch,
 }
@@ -40,7 +37,6 @@ thread_local! {
         visited: VisitedSet::new(0),
         queue: VecDeque::new(),
         touched: Vec::new(),
-        requal: Vec::new(),
         reach: ReachScratch::new(0),
     });
 }

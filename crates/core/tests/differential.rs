@@ -131,8 +131,8 @@ fn assert_state_matches_cold_rebuild(
 /// hanging off every level. The chain child of level `i` carries a `ratio`
 /// fraction of the level's subtree mass, so for `ratio ∈ (1/√2, ~0.85)` the
 /// deepest heavy chain node is both the balance winner and a cone member —
-/// every *yes* along the chain re-roots onto a cone member, the exact shape
-/// the re-root reuse fast path serves.
+/// every *yes* along the chain re-roots onto a cone member, so each rebuild
+/// under the new root keeps most of the old cone.
 fn yes_chain(depth: usize, fanout: usize, ratio: f64) -> (Dag, aigs_core::NodeWeights) {
     let n = depth + 1 + depth * fanout * 2;
     let mut edges: Vec<(u32, u32)> = Vec::new();
@@ -384,11 +384,8 @@ proptest! {
     }
 
     /// Deep yes-chain differential: ≥32 consecutive re-roots down a heavy
-    /// chain (the shape where PR 5's incremental select *lost* to the
-    /// from-scratch oracle). Transcripts must stay bit-identical to
-    /// `reference()` on every backend — the closure backend takes the
-    /// re-root reuse fast path, the others the rebuild fallback — and the
-    /// final aggregates must match a cold rebuild.
+    /// chain. Transcripts must stay bit-identical to `reference()` on
+    /// every backend, and the final aggregates must match a cold rebuild.
     #[test]
     fn deep_yes_chain_incremental_equals_scratch(
         depth in 32usize..44,
@@ -433,8 +430,8 @@ proptest! {
 
     /// Blind-observe interleaving fuzz: observes with no `select` in
     /// between stack answers on top of possibly-invalid frontiers (a *no*
-    /// right after a *yes* lands while the frontier still describes the
-    /// old root), undos and token resets unwind across them, and
+    /// right after a *yes* lands before any rebuild under the new root),
+    /// undos and token resets unwind across them, and
     /// `resolved()` must agree with a brute-force replay after every
     /// single op. Final state is bit-checked against cold rebuilds and the
     /// from-scratch reference.
@@ -653,11 +650,9 @@ proptest! {
     }
 }
 
-/// Deterministic split of the two *yes* re-root shapes: a cone member (the
-/// closure backend serves it from the retained sub-frontier) and a light
-/// boundary outsider (every backend falls back to the pruned-BFS rebuild).
-/// Both must land bit-equal to cold rebuilds, and so must an undone *no*
-/// right after them.
+/// Deterministic split of the two *yes* re-root shapes: a cone member and
+/// a light boundary outsider. Both must land bit-equal to cold rebuilds,
+/// and so must an undone *no* right after them.
 #[test]
 fn reroot_cone_member_vs_non_member_is_differential_clean() {
     let (g, weights) = yes_chain(8, 2, 0.75);

@@ -254,12 +254,10 @@ impl ReachIndex {
 
     /// The descendant mask `G_u` **when it is already materialised** —
     /// i.e. an O(1) handle to the closure backend's stored row, `None`
-    /// otherwise. This is the gate for mask-filtered walks over candidate
-    /// lists (e.g. the greedy-DAG re-root filter): with a stored row each
-    /// membership test is one bit probe, so filtering an existing frontier
-    /// is cheaper than re-running the pruned BFS that derived it; without
-    /// one, materialising the mask would itself cost a DFS over `G_u`
-    /// (often *larger* than the walk being skipped), so callers should fall
+    /// otherwise. This is the gate for word-level set operations such as
+    /// [`ReachIndex::doomed_contributions`]'s row path: with a stored row
+    /// each membership test is one bit probe; without one, materialising
+    /// the mask would itself cost a DFS over `G_u`, so callers should fall
     /// back to their traversal path instead of calling
     /// [`ReachIndex::descendants`].
     pub fn stored_mask(&self, u: NodeId) -> Option<&NodeBitSet> {

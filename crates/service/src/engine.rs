@@ -43,8 +43,6 @@ pub struct EngineConfig {
     /// Per-session query cap forwarded to [`SessionStepper::start`] (the
     /// `4·n + 64` safety cap always applies on top).
     pub max_queries: Option<u32>,
-    /// How many warm policy instances each (plan, kind) pool retains.
-    pub pool_cap: usize,
     /// How many slab shards the engine runs. Each shard owns its slots,
     /// free list, stats counters, idle list and (with durability on) WAL
     /// tail, so sessions on different shards never contend on a shared
@@ -78,7 +76,6 @@ impl Default for EngineConfig {
             max_sessions: DEFAULT_MAX_SESSIONS,
             idle_ticks: None,
             max_queries: None,
-            pool_cap: 64,
             shards: 0,
             durability: None,
             compiled: CompiledTier::PerPlan,
@@ -787,7 +784,7 @@ impl SearchEngine {
                 )));
             };
             let spec = plan_spec_from_payload(payload)?;
-            plans.push(Arc::new(PlanEntry::build(spec, config.pool_cap)?));
+            plans.push(Arc::new(PlanEntry::build(spec)?));
         }
         report.plans = plans.len();
 
@@ -944,7 +941,7 @@ impl SearchEngine {
     /// self-contained.
     pub fn register_plan(&self, spec: PlanSpec) -> Result<PlanId, ServiceError> {
         self.check_active()?;
-        let entry = Arc::new(PlanEntry::build(spec, self.config.pool_cap)?);
+        let entry = Arc::new(PlanEntry::build(spec)?);
         let mut plans = self.plans.write().expect("plans lock poisoned");
         let index = u32::try_from(plans.len()).expect("plan count fits u32");
         if let Some(wal) = &self.shards[0].wal {

@@ -118,15 +118,18 @@ impl PlanSpec {
     }
 }
 
+/// How many warm policy instances each (plan, kind) pool retains.
+const POOL_CAP: usize = 64;
+
+/// State of one lazily built warm prototype: `None` = not yet attempted,
+/// `Some(None)` = warm-up failed (cached), `Some(Some(p))` = ready.
+type WarmSlot = Option<Option<Box<dyn Policy + Send>>>;
+
 /// A registered plan: the spec's artifacts plus the built index, the
 /// plan-wide cache token, and the policy-instance pools.
 ///
 /// `Arc<PlanEntry>` is held by every live session on the plan, so artifacts
 /// stay alive exactly as long as something uses them.
-/// State of one lazily built warm prototype: `None` = not yet attempted,
-/// `Some(None)` = warm-up failed (cached), `Some(Some(p))` = ready.
-type WarmSlot = Option<Option<Box<dyn Policy + Send>>>;
-
 pub(crate) struct PlanEntry {
     dag: Arc<Dag>,
     weights: Arc<NodeWeights>,
@@ -144,7 +147,6 @@ pub(crate) struct PlanEntry {
     /// One LIFO pool per poolable [`PolicyKind`]: warm instances keep their
     /// per-instance caches (closures, Euler views, base arrays).
     pools: [Mutex<Vec<Box<dyn Policy + Send>>>; POOLED_KINDS],
-    pool_cap: usize,
     /// Lazily built warm *prototype* per poolable kind: an instance that
     /// was reset under the plan's context and pre-selected once, so its
     /// base candidate state (and, for frontier-caching policies, the base
@@ -173,7 +175,7 @@ pub(crate) struct PlanEntry {
 }
 
 impl PlanEntry {
-    pub(crate) fn build(spec: PlanSpec, pool_cap: usize) -> Result<Self, ServiceError> {
+    pub(crate) fn build(spec: PlanSpec) -> Result<Self, ServiceError> {
         let reach = match spec.reach {
             ReachChoice::Auto => {
                 if spec.dag.is_tree() {
@@ -197,7 +199,6 @@ impl PlanEntry {
             reach_choice: spec.reach,
             cache_token: fresh_cache_token(),
             pools: std::array::from_fn(|_| Mutex::new(Vec::new())),
-            pool_cap,
             warm: std::array::from_fn(|_| Mutex::new(None)),
             compiled_cfg: spec.compiled,
             compiled: std::array::from_fn(|_| OnceLock::new()),
@@ -334,7 +335,7 @@ impl PlanEntry {
         if let Some(i) = kind.pool_index() {
             {
                 let pool = self.pools[i].lock().expect("pool poisoned");
-                if pool.len() >= self.pool_cap {
+                if pool.len() >= POOL_CAP {
                     return;
                 }
             }
@@ -350,7 +351,7 @@ impl PlanEntry {
                 return;
             }
             let mut pool = self.pools[i].lock().expect("pool poisoned");
-            if pool.len() < self.pool_cap {
+            if pool.len() < POOL_CAP {
                 pool.push(policy);
             }
         }
@@ -465,7 +466,7 @@ mod tests {
     fn diamond_plan(reach: ReachChoice) -> PlanEntry {
         let dag = Arc::new(dag_from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]).unwrap());
         let weights = Arc::new(NodeWeights::uniform(5));
-        PlanEntry::build(PlanSpec::new(dag, weights).with_reach(reach), 4).unwrap()
+        PlanEntry::build(PlanSpec::new(dag, weights).with_reach(reach)).unwrap()
     }
 
     #[test]
@@ -499,7 +500,7 @@ mod tests {
         // Trees default to no index at all.
         let tree = Arc::new(dag_from_edges(3, &[(0, 1), (0, 2)]).unwrap());
         let entry =
-            PlanEntry::build(PlanSpec::new(tree, Arc::new(NodeWeights::uniform(3))), 4).unwrap();
+            PlanEntry::build(PlanSpec::new(tree, Arc::new(NodeWeights::uniform(3)))).unwrap();
         assert!(entry.ctx().reach.is_none());
     }
 
@@ -507,7 +508,7 @@ mod tests {
     fn mismatched_weights_rejected_at_registration() {
         let dag = Arc::new(dag_from_edges(3, &[(0, 1), (0, 2)]).unwrap());
         let weights = Arc::new(NodeWeights::uniform(4));
-        let err = PlanEntry::build(PlanSpec::new(dag, weights), 4).unwrap_err();
+        let err = PlanEntry::build(PlanSpec::new(dag, weights)).unwrap_err();
         assert!(matches!(
             err,
             ServiceError::Core(aigs_core::CoreError::WeightMismatch { .. })
@@ -525,11 +526,11 @@ mod tests {
         let (_b, hit) = plan.acquire(kind);
         assert!(hit, "warm instance reused");
         assert_eq!(plan.pooled(kind), 0);
-        // Cap: release more than pool_cap instances, surplus is dropped.
-        for _ in 0..10 {
+        // Cap: release more than POOL_CAP instances, surplus is dropped.
+        for _ in 0..POOL_CAP + 10 {
             plan.release(kind, kind.build());
         }
-        assert_eq!(plan.pooled(kind), 4);
+        assert_eq!(plan.pooled(kind), POOL_CAP);
         // Random is never pooled.
         let r = PolicyKind::Random { seed: 1 };
         plan.release(r, r.build());
@@ -619,7 +620,7 @@ mod tests {
         let weights = Arc::new(NodeWeights::uniform(5));
         let spec =
             PlanSpec::new(dag, weights).with_compiled(CompiledConfig::new().with_max_depth(1));
-        let plan = PlanEntry::build(spec, 4).unwrap();
+        let plan = PlanEntry::build(spec).unwrap();
         let c = plan.compiled_for(PolicyKind::TopDown, None).unwrap();
         assert!(c.truncated(), "depth-1 compile truncates the diamond");
     }
