@@ -33,6 +33,8 @@
 //! state because policies are deterministic functions of the answer
 //! history).
 
+use std::borrow::Borrow;
+
 use aigs_graph::NodeId;
 
 use crate::{CoreError, Policy, SearchContext, SearchOutcome, SessionStep};
@@ -284,19 +286,24 @@ impl CompiledPlan {
     /// frontier: when the returned cursor [`needs
     /// fallback`](CompiledCursor::needs_fallback), the caller must instead
     /// replay the **full** answer log into a live policy instance.
-    pub fn replay(
+    /// `answers` takes the same forms as in `SessionStepper::replay`.
+    pub fn replay<A>(
         &self,
         ctx: &SearchContext<'_>,
         max_queries: Option<u32>,
-        answers: &[bool],
-    ) -> Result<CompiledCursor, CoreError> {
+        answers: A,
+    ) -> Result<CompiledCursor, CoreError>
+    where
+        A: IntoIterator,
+        A::Item: Borrow<bool>,
+    {
         let mut cur = self.cursor(ctx, max_queries);
-        for &yes in answers {
+        for yes in answers {
             if cur.needs_fallback() {
                 return Ok(cur);
             }
             match cur.next_question(self)? {
-                SessionStep::Ask(_) => cur.answer(self, ctx, yes)?,
+                SessionStep::Ask(_) => cur.answer(self, ctx, *yes.borrow())?,
                 SessionStep::Resolved(_) => {
                     return Err(CoreError::SessionMisuse(
                         "replay answers extend past the search's resolution",

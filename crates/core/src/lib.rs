@@ -74,5 +74,5 @@ pub use policy::Policy;
 pub use policy::{paper_roster, MAX_EXACT_NODES};
 pub use session::{
     evaluate_exhaustive, evaluate_exhaustive_parallel, evaluate_roster, evaluate_targets,
-    run_session, EvalReport, SearchOutcome, SessionStep, SessionStepper,
+    run_session, AnswerBits, EvalReport, SearchOutcome, SessionStep, SessionStepper,
 };

@@ -18,7 +18,7 @@
 //! hop. We implement precisely that: input-ordered descent plus
 //! chain-end jumping (falling back to stepping when the jump probe fails).
 
-use aigs_graph::{NodeId, VisitedSet};
+use aigs_graph::NodeId;
 
 use crate::{Policy, SearchContext};
 
@@ -34,8 +34,8 @@ enum Phase {
 struct Frame {
     node: NodeId,
     phase: Phase,
-    /// Whether this observe inserted its query into `known_no`.
-    banned: Option<NodeId>,
+    /// Whether this observe pushed its query onto `known_no`.
+    banned: bool,
 }
 
 /// Multiple-choice categorisation policy, costed as choices read.
@@ -44,9 +44,10 @@ pub struct MigsPolicy {
     node: NodeId,
     phase: Phase,
     /// Chain ends already refuted, so a failed jump is not re-probed while
-    /// stepping through the same chain. Epoch-stamped set: O(1) insert,
-    /// remove (undo) and per-session clear, no hashing or allocation.
-    known_no: VisitedSet,
+    /// stepping through the same chain. Bans are added and undone in LIFO
+    /// order (`Frame::banned`), so a stack answers `contains` exactly; it
+    /// holds one entry per failed jump, not a stamp per node.
+    known_no: Vec<NodeId>,
     undo: Vec<Frame>,
     resolved: Option<NodeId>,
 }
@@ -57,7 +58,7 @@ impl MigsPolicy {
         MigsPolicy {
             node: NodeId::SENTINEL,
             phase: Phase::Scan(0),
-            known_no: VisitedSet::new(0),
+            known_no: Vec::new(),
             undo: Vec::new(),
             resolved: None,
         }
@@ -76,7 +77,7 @@ impl MigsPolicy {
             end = ctx.dag.children(end)[0];
             len += 1;
         }
-        if len >= 2 && !self.known_no.contains(end) {
+        if len >= 2 && !self.known_no.contains(&end) {
             Some(end)
         } else {
             None
@@ -106,9 +107,6 @@ impl Policy for MigsPolicy {
 
     fn reset(&mut self, ctx: &SearchContext<'_>) {
         self.node = ctx.dag.root();
-        if self.known_no.capacity() != ctx.dag.node_count() {
-            self.known_no = VisitedSet::new(ctx.dag.node_count());
-        }
         self.known_no.clear();
         self.undo.clear();
         self.phase = match self.jump_target(ctx, self.node) {
@@ -134,7 +132,7 @@ impl Policy for MigsPolicy {
         let mut frame = Frame {
             node: self.node,
             phase: self.phase,
-            banned: None,
+            banned: false,
         };
         match self.phase {
             Phase::JumpProbe(end) => {
@@ -142,8 +140,8 @@ impl Policy for MigsPolicy {
                 if yes {
                     self.node = end;
                 } else {
-                    self.known_no.insert(end);
-                    frame.banned = Some(end);
+                    self.known_no.push(end);
+                    frame.banned = true;
                     // Fall back to stepping through the chain.
                     self.phase = Phase::Scan(0);
                     self.undo.push(frame);
@@ -174,8 +172,8 @@ impl Policy for MigsPolicy {
 
     fn unobserve(&mut self, ctx: &SearchContext<'_>) {
         let frame = self.undo.pop().expect("nothing to unobserve");
-        if let Some(banned) = frame.banned {
-            self.known_no.remove(banned);
+        if frame.banned {
+            self.known_no.pop();
         }
         self.node = frame.node;
         self.phase = frame.phase;

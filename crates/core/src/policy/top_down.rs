@@ -25,11 +25,6 @@ pub enum ChildOrder {
     SubtreeWeightDesc,
 }
 
-/// Undo entries a reset instance keeps allocated: enough for a typical
-/// session without regrowing from empty, small enough that a pool of
-/// thousands of instances holds ~0.5 KiB each at most.
-const UNDO_RETAIN: usize = 64;
-
 /// Top-down descent policy.
 ///
 /// The default `Input` ordering reads children straight out of the
@@ -53,9 +48,12 @@ pub struct TopDownPolicy {
     lazy_metric: HashMap<NodeId, f64>,
     /// Token the ordering caches were derived under.
     base_token: u64,
-    /// `(node, idx)` before each observed answer. `reset` trims its
-    /// capacity to [`UNDO_RETAIN`], so a pooled instance does not keep the
-    /// longest history any earlier session gave it.
+    /// The descent path: `(node, idx)` before each *yes*. A *no* only
+    /// advances `idx`, so `unobserve` undoes it as `idx - 1`, and
+    /// `idx == 0` means the last answer was a *yes* to pop. The log grows
+    /// with the depth, not the answer count: 8 bytes a level. The longest
+    /// `amazon_like` Small session (337 answers) holds 128 bytes of it,
+    /// where an entry per answer held 4 096.
     undo: Vec<(NodeId, u32)>,
     resolved: Option<NodeId>,
     started: bool,
@@ -170,7 +168,6 @@ impl Policy for TopDownPolicy {
         self.node = ctx.dag.root();
         self.idx = 0;
         self.undo.clear();
-        self.undo.shrink_to(UNDO_RETAIN);
         self.started = true;
         // The ordering caches depend only on (dag, weights): keep them
         // across sessions when the cache token certifies the same instance.
@@ -213,8 +210,6 @@ impl Policy for TopDownPolicy {
     }
 
     fn observe(&mut self, ctx: &SearchContext<'_>, q: NodeId, yes: bool) {
-        let idx = u32::try_from(self.idx).expect("child position fits u32");
-        self.undo.push((self.node, idx));
         let (node, idx) = (self.node, self.idx);
         debug_assert_eq!(
             q,
@@ -222,6 +217,8 @@ impl Policy for TopDownPolicy {
             "observe() must follow select()"
         );
         if yes {
+            let idx = u32::try_from(idx).expect("child position fits u32");
+            self.undo.push((node, idx));
             self.node = q;
             self.idx = 0;
         } else {
@@ -231,9 +228,13 @@ impl Policy for TopDownPolicy {
     }
 
     fn unobserve(&mut self, ctx: &SearchContext<'_>) {
-        let (node, idx) = self.undo.pop().expect("nothing to unobserve");
-        self.node = node;
-        self.idx = idx as usize;
+        if self.idx > 0 {
+            self.idx -= 1;
+        } else {
+            let (node, idx) = self.undo.pop().expect("nothing to unobserve");
+            self.node = node;
+            self.idx = idx as usize;
+        }
         self.refresh_resolution(ctx);
     }
 
@@ -382,8 +383,9 @@ mod tests {
     }
 
     #[test]
-    fn reset_bounds_retained_undo_capacity() {
-        // A star: its last leaf costs one `no` per earlier child.
+    fn undo_holds_only_the_descent_path() {
+        // A star: its last leaf costs one `no` per earlier child, then one
+        // `yes`; only the `yes` is logged.
         let n = 1000;
         let edges: Vec<(u32, u32)> = (1..n).map(|c| (0, c)).collect();
         let g = dag_from_edges(n as usize, &edges).unwrap();
@@ -397,13 +399,16 @@ mod tests {
             p.observe(&ctx, q, q == target);
         }
         assert_eq!(p.resolved(), Some(target));
-        assert_eq!(p.undo.len(), n as usize - 1);
-        p.reset(&ctx);
-        assert!(
-            p.undo.capacity() <= UNDO_RETAIN,
-            "reset kept {} undo entries allocated",
-            p.undo.capacity()
-        );
+        assert_eq!(p.undo, vec![(g.root(), n - 2)]);
+        // Undoing the `yes` pops the path; the `no`s before it unwind
+        // through `idx` alone.
+        p.unobserve(&ctx);
+        assert!(p.undo.is_empty());
+        assert_eq!(p.select(&ctx), target);
+        for _ in 0..n - 2 {
+            p.unobserve(&ctx);
+        }
+        assert_eq!((p.node, p.idx), (g.root(), 0));
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! — exactly the metric of Definition 7 — along with worst-case and
 //! per-depth breakdowns used by the experiment harness.
 
+use std::borrow::Borrow;
+
 use aigs_graph::{NodeId, ReachIndex};
 
 use crate::{fresh_cache_token, CoreError, Oracle, Policy, SearchContext, TargetOracle};
@@ -44,6 +46,90 @@ pub struct SearchOutcome {
     pub queries: u32,
     /// Total price paid (equals `queries` under uniform costs).
     pub price: f64,
+}
+
+/// A session's answer history, one bit per answer: `u64` words, least
+/// significant bit first (answer `i` is bit `i % 64` of word `i / 64`).
+/// Bits past [`len`](Self::len) are always zero, so equal histories
+/// compare equal word for word.
+///
+/// This is what a suspended session durably is (with its plan and policy
+/// kind): a 155-answer history holds one 32-byte allocation, where a
+/// `Vec<bool>` holds one byte per answer plus its growth slack.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AnswerBits {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl AnswerBits {
+    /// An empty history; allocates nothing until the first push.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Rebuilds a history from its packed words: `None` unless there are
+    /// exactly `len.div_ceil(64)` words and every bit past `len` is zero.
+    pub fn from_words(words: Vec<u64>, len: usize) -> Option<Self> {
+        let tail = len % 64;
+        let padded = tail != 0 && words.last().is_some_and(|w| w >> tail != 0);
+        (words.len() == len.div_ceil(64) && !padded).then_some(AnswerBits { words, len })
+    }
+
+    /// Appends the next answer.
+    pub fn push(&mut self, yes: bool) {
+        let bit = self.len % 64;
+        if bit == 0 {
+            self.words.push(0);
+        }
+        *self.words.last_mut().expect("a word holds bit `len`") |= u64::from(yes) << bit;
+        self.len += 1;
+    }
+
+    /// Number of answers held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no answer is held.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Answer `i`, or `None` past the end.
+    pub fn get(&self, i: usize) -> Option<bool> {
+        (i < self.len).then(|| self.bit(i))
+    }
+
+    /// The answers in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = bool> + '_ {
+        (0..self.len).map(|i| self.bit(i))
+    }
+
+    fn bit(&self, i: usize) -> bool {
+        (self.words[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    /// The packed words, `len().div_ceil(64)` of them.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+}
+
+impl Extend<bool> for AnswerBits {
+    fn extend<I: IntoIterator<Item = bool>>(&mut self, answers: I) {
+        for yes in answers {
+            self.push(yes);
+        }
+    }
+}
+
+impl FromIterator<bool> for AnswerBits {
+    fn from_iter<I: IntoIterator<Item = bool>>(answers: I) -> Self {
+        let mut bits = AnswerBits::new();
+        bits.extend(answers);
+        bits
+    }
 }
 
 /// What a suspended session needs next.
@@ -177,16 +263,23 @@ impl SessionStepper {
     /// answer log extends past the point where the search resolved (a
     /// corrupt or foreign log), and propagates [`CoreError::Diverged`] if
     /// the log exceeds the query cap.
-    pub fn replay(
+    ///
+    /// `answers` is the history in order: `AnswerBits::iter()` as the
+    /// service holds it, or any sequence of `bool`s such as a `&[bool]`.
+    pub fn replay<A>(
         policy: &mut dyn Policy,
         ctx: &SearchContext<'_>,
         max_queries: Option<u32>,
-        answers: &[bool],
-    ) -> Result<Self, CoreError> {
+        answers: A,
+    ) -> Result<Self, CoreError>
+    where
+        A: IntoIterator,
+        A::Item: Borrow<bool>,
+    {
         let mut stepper = Self::start(policy, ctx, max_queries)?;
-        for &yes in answers {
+        for yes in answers {
             match stepper.next_question(policy, ctx)? {
-                SessionStep::Ask(_) => stepper.answer(policy, ctx, yes)?,
+                SessionStep::Ask(_) => stepper.answer(policy, ctx, *yes.borrow())?,
                 SessionStep::Resolved(_) => {
                     return Err(CoreError::SessionMisuse(
                         "replay answers extend past the search's resolution",
@@ -564,6 +657,24 @@ mod tests {
             assert_eq!(out.queries, oracle.queries_asked());
             assert_eq!(out.price, out.queries as f64);
         }
+    }
+
+    #[test]
+    fn answer_bits_pack_across_words() {
+        let answers: Vec<bool> = (0..130).map(|i| i % 3 == 0 || i == 64).collect();
+        let bits: AnswerBits = answers.iter().copied().collect();
+        assert_eq!(bits.len(), 130);
+        assert_eq!(bits.words().len(), 3);
+        assert_eq!(bits.iter().collect::<Vec<_>>(), answers);
+        assert_eq!(
+            (bits.get(64), bits.get(65), bits.get(130)),
+            (Some(true), Some(false), None)
+        );
+        let words = bits.words().to_vec();
+        assert_eq!(AnswerBits::from_words(words.clone(), 130), Some(bits));
+        // A set bit past the length, or a word count that does not match it.
+        assert_eq!(AnswerBits::from_words(words.clone(), 129), None);
+        assert_eq!(AnswerBits::from_words(words, 200), None);
     }
 
     #[test]

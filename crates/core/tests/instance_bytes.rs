@@ -2,16 +2,17 @@
 //! allocator. A live session holds a clone of its plan's warm prototype,
 //! so the clone's heap bytes bound the live population. These tests pin
 //! what a warm clone copies on the Small fixtures (plan constants and
-//! per-call scratch stay out of it), and that the per-thread scratch arena
-//! those buffers moved to allocates nothing when sessions alternate
-//! between plans of different sizes. The counters are per thread, so the
-//! tests of this binary can run in parallel.
+//! per-call scratch stay out of it), what a TopDown session grows to while
+//! it runs (its descent path, not its answers), and that the per-thread
+//! scratch arena those buffers moved to allocates nothing when sessions
+//! alternate between plans of different sizes. The counters are per
+//! thread, so the tests of this binary can run in parallel.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use aigs_core::policy::{GreedyDagPolicy, GreedyTreePolicy, WigsPolicy};
-use aigs_core::{fresh_cache_token, NodeWeights, Policy, SearchContext};
+use aigs_core::policy::{GreedyDagPolicy, GreedyTreePolicy, MigsPolicy, TopDownPolicy, WigsPolicy};
+use aigs_core::{evaluate_exhaustive, fresh_cache_token, NodeWeights, Policy, SearchContext};
 use aigs_data::{amazon_like, imagenet_like, Scale};
 use aigs_graph::{Dag, NodeId, ReachIndex};
 use aigs_testutil::{backends, dag_from_seed, generic_weights};
@@ -139,6 +140,49 @@ fn wigs_dag_mode_warm_clone_holds_only_its_session() {
         bytes <= 8_000,
         "wigs DAG-mode warm clone, own index: {bytes} B"
     );
+}
+
+#[test]
+fn top_down_session_holds_only_its_descent_path() {
+    let data = amazon_like(Scale::Small, 11);
+    let weights = data.empirical_weights();
+    let ctx = SearchContext::new(&data.dag, &weights).with_cache_token(fresh_cache_token());
+    // The longest session: the target TopDown asks the most questions for.
+    let report = evaluate_exhaustive(&mut TopDownPolicy::new(), &ctx).unwrap();
+    let (z, &queries) = (report.per_target.iter().enumerate())
+        .max_by_key(|&(_, q)| q)
+        .unwrap();
+    let z = NodeId::new(z);
+    let truth: Vec<bool> = data.dag.nodes().map(|q| data.dag.reaches(q, z)).collect();
+
+    // Plain TopDown reads children from the CSR arrays, so all the session
+    // allocates is its undo log.
+    let mut p = TopDownPolicy::new();
+    let before = NET_BYTES.with(Cell::get);
+    p.reset(&ctx);
+    let mut asked = 0;
+    while p.resolved().is_none() {
+        let q = p.select(&ctx);
+        p.observe(&ctx, q, truth[q.index()]);
+        asked += 1;
+    }
+    let bytes = NET_BYTES.with(Cell::get) - before;
+    assert_eq!((p.resolved(), asked), (Some(z), queries));
+    assert!(
+        bytes <= 256,
+        "top-down undo after a {queries}-answer session: {bytes} B"
+    );
+}
+
+#[test]
+fn migs_warm_clone_holds_only_its_session() {
+    let data = amazon_like(Scale::Small, 11);
+    let weights = data.empirical_weights();
+    let ctx = SearchContext::new(&data.dag, &weights).with_cache_token(fresh_cache_token());
+    let mut proto = MigsPolicy::new();
+    warm(&mut proto, &ctx);
+    let bytes = clone_bytes(&proto);
+    assert!(bytes <= 1_024, "migs warm clone: {bytes} B");
 }
 
 /// One plan's sessions: a greedy-dag and a WIGS instance, the targets and

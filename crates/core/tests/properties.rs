@@ -5,7 +5,7 @@
 //! beats the optimum, and none exceeds its proven factor of it.
 
 use aigs_core::policy::{
-    optimal_expected_cost, CostSensitivePolicy, GreedyDagPolicy, GreedyNaivePolicy,
+    optimal_expected_cost, ChildOrder, CostSensitivePolicy, GreedyDagPolicy, GreedyNaivePolicy,
     GreedyTreePolicy, MigsPolicy, TopDownPolicy, WigsPolicy,
 };
 use aigs_core::{
@@ -25,6 +25,8 @@ fn golden_ratio() -> f64 {
 fn deterministic_roster(is_tree: bool) -> Vec<Box<dyn Policy + Send>> {
     let mut v: Vec<Box<dyn Policy + Send>> = vec![
         Box::new(TopDownPolicy::new()),
+        Box::new(TopDownPolicy::with_order(ChildOrder::SubtreeSizeDesc)),
+        Box::new(TopDownPolicy::with_order(ChildOrder::SubtreeWeightDesc)),
         Box::new(MigsPolicy::new()),
         Box::new(WigsPolicy::new()),
         Box::new(GreedyNaivePolicy::new()),
@@ -346,11 +348,15 @@ proptest! {
         n in 3usize..20,
         frac in 0.0f64..0.3,
         seed in 0u64..10_000,
-        script in prop::collection::vec((prop::bool::ANY, prop::bool::ANY), 1..16),
+        witness_raw in 0u32..100,
+        script in prop::collection::vec(prop::bool::ANY, 1..16),
     ) {
         let g = dag_from_seed(n, frac, seed);
         let w = generic_weights(g.node_count(), seed);
         let ctx = SearchContext::new(&g, &w);
+        // Truthful answers for a drawn target: a root witness would answer
+        // every query *no* and never undo a descent.
+        let witness = NodeId::new(witness_raw as usize % g.node_count());
 
         let policies: Vec<Box<dyn Policy + Send>> = vec![
             Box::new(TopDownPolicy::new()),
@@ -362,22 +368,13 @@ proptest! {
             p.reset(&ctx);
             // The surviving answer prefix.
             let mut prefix: Vec<(NodeId, bool)> = Vec::new();
-            for &(do_undo, answer) in &script {
+            for &do_undo in &script {
                 if do_undo && !prefix.is_empty() {
                     p.unobserve(&ctx);
                     prefix.pop();
                 } else if p.resolved().is_none() {
                     let q = p.select(&ctx);
-                    // Keep the branch consistent with *some* target: answer
-                    // `yes` iff a fixed witness target is reachable, else
-                    // use the proposed answer only if it keeps ≥1 candidate.
-                    let _ = answer;
-                    let witness = NodeId::new(0);
-                    let ans = g.reaches(q, witness) || {
-                        // no-answers are always consistent with the witness
-                        // when reach is false
-                        false
-                    };
+                    let ans = g.reaches(q, witness);
                     p.observe(&ctx, q, ans);
                     prefix.push((q, ans));
                 }

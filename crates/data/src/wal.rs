@@ -40,6 +40,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
+use aigs_core::AnswerBits;
+
 /// One durable engine event.
 ///
 /// Sessions are addressed by their engine slab coordinates
@@ -117,8 +119,9 @@ pub enum WalEvent {
         plan: u32,
         /// Policy-kind code (service-defined tag + seed).
         kind: KindCode,
-        /// The acknowledged answers, in order (`answers[seq]`).
-        answers: Vec<bool>,
+        /// The acknowledged answers, in order (answer `seq` is
+        /// `answers.get(seq)`).
+        answers: AnswerBits,
     },
     /// The session finished with an outcome.
     Finished {
@@ -573,12 +576,13 @@ fn encode_event(event: &WalEvent, out: &mut Vec<u8>) {
                 answers.len()
             );
             out.extend_from_slice(&(answers.len() as u32).to_le_bytes());
-            for chunk in answers.chunks(8) {
-                let byte = chunk
-                    .iter()
-                    .enumerate()
-                    .fold(0u8, |b, (i, &yes)| b | (u8::from(yes) << i));
-                out.push(byte);
+            // The words are already the on-disk bitmap: their first
+            // `ceil(len / 8)` little-endian bytes, zero padded.
+            let mut left = answers.len().div_ceil(8);
+            for word in answers.words() {
+                let take = left.min(8);
+                out.extend_from_slice(&word.to_le_bytes()[..take]);
+                left -= take;
             }
         }
         WalEvent::Answered {
@@ -620,19 +624,22 @@ fn encode_open(index: u32, generation: u32, plan: u32, kind: KindCode, out: &mut
 /// Decodes a [`WalEvent::SessionSnapshot`]'s bit-packed history: a count
 /// above [`MAX_RECORD_PAYLOAD`], a bitmap shorter than the count needs, or
 /// a set padding bit in the last byte is corruption.
-fn decode_answer_bits(c: &mut Cur<'_>) -> Result<Vec<bool>, String> {
+fn decode_answer_bits(c: &mut Cur<'_>) -> Result<AnswerBits, String> {
     let count = c.u32()? as usize;
     if count > MAX_RECORD_PAYLOAD {
         return Err("answer count exceeds format maximum".to_owned());
     }
-    let bytes = c.take(count.div_ceil(8))?;
-    let last_bits = count % 8;
-    if last_bits != 0 && bytes[bytes.len() - 1] >> last_bits != 0 {
-        return Err("non-zero padding bits in answer bitmap".to_owned());
-    }
-    Ok((0..count)
-        .map(|i| (bytes[i / 8] >> (i % 8)) & 1 == 1)
-        .collect())
+    let words = c
+        .take(count.div_ceil(8))?
+        .chunks(8)
+        .map(|chunk| {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(word)
+        })
+        .collect();
+    AnswerBits::from_words(words, count)
+        .ok_or_else(|| "non-zero padding bits in answer bitmap".to_owned())
 }
 
 /// A cursor over a payload that fails (with a reason) instead of panicking
@@ -926,9 +933,11 @@ mod tests {
                     tag: 0x88,
                     seed: 0xfeed,
                 },
-                answers: vec![
+                answers: [
                     true, false, false, true, true, false, true, true, false, true,
-                ],
+                ]
+                .into_iter()
+                .collect(),
             },
             WalEvent::Cancelled {
                 index: 1,
@@ -1114,13 +1123,13 @@ mod tests {
             .contains("unknown event tag"));
     }
 
-    fn snapshot_with(answers: Vec<bool>) -> WalEvent {
+    fn snapshot_with(answers: impl IntoIterator<Item = bool>) -> WalEvent {
         WalEvent::SessionSnapshot {
             index: 5,
             generation: 2,
             plan: 0,
             kind: KindCode { tag: 0, seed: 0 },
-            answers,
+            answers: answers.into_iter().collect(),
         }
     }
 
@@ -1153,6 +1162,71 @@ mod tests {
         // LSB first: answers [yes, no, yes] pack to 0b101.
         let bytes = encode_record_bytes(&snapshot_with(vec![true, false, true]));
         assert_eq!(bytes[bytes.len() - 5..], [3, 0, 0, 0, 0b101]);
+    }
+
+    /// Snapshot records of histories around the byte and word boundaries,
+    /// byte for byte as the `Vec<bool>` encoder of WAL v3 wrote them (each
+    /// history ends in a *yes*, so its last partial byte is never zero). A
+    /// log written before the packed histories must read back unchanged.
+    #[test]
+    fn session_snapshot_bytes_are_golden() {
+        const GOLDEN: [(usize, &str); 9] = [
+            (
+                0,
+                "1a00000069037d550a05000000020000000000000000000000000000000000000000",
+            ),
+            (
+                1,
+                "1b00000054525eac0a0500000002000000000000000000000000000000000100000001",
+            ),
+            (
+                7,
+                "1b000000acc6ac6e0a0500000002000000000000000000000000000000000700000061",
+            ),
+            (
+                8,
+                "1b000000cd9398770a05000000020000000000000000000000000000000008000000a1",
+            ),
+            (
+                9,
+                "1c000000202afb8b0a05000000020000000000000000000000000000000009000000a101",
+            ),
+            (
+                63,
+                "220000003c650ebb0a0500000002000000000000000000000000000000003f000000\
+                 a1aa5055a82a5455",
+            ),
+            (
+                64,
+                "2200000009b9b4760a05000000020000000000000000000000000000000040000000\
+                 a1aa5055a82a5495",
+            ),
+            (
+                65,
+                "23000000c892ba3a0a05000000020000000000000000000000000000000041000000\
+                 a1aa5055a82a541501",
+            ),
+            (
+                200,
+                "330000001c6985510a050000000200000000000000000000000000000000c8000000\
+                 a1aa5055a82a5415aa0a5585aa4255a1aa5055a82a5415aa8a",
+            ),
+        ];
+        let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        for (count, want) in GOLDEN {
+            let event =
+                snapshot_with((0..count).map(|i| i + 1 == count || (i * 7 + i / 3) % 5 < 2));
+            let bytes = encode_record_bytes(&event);
+            assert_eq!(hex(&bytes), want, "count {count}");
+            let read = decode_wal(&bytes);
+            assert!(read.corruption.is_none(), "count {count}");
+            assert_eq!(read.events, vec![event], "count {count}");
+            assert_eq!(
+                hex(&encode_record_bytes(&read.events[0])),
+                want,
+                "count {count}"
+            );
+        }
     }
 
     #[test]

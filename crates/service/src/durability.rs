@@ -62,7 +62,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use aigs_core::{CompiledConfig, NodeWeights, QueryCosts};
+use aigs_core::{AnswerBits, CompiledConfig, NodeWeights, QueryCosts};
 use aigs_data::wal::{
     read_wal, CompiledPayload, KindCode, PlanPayload, SessionWal, WalEvent, WAL_VERSION,
 };
@@ -949,7 +949,7 @@ pub(crate) struct ReplaySession {
     pub(crate) generation: u32,
     pub(crate) plan: u32,
     pub(crate) kind: KindCode,
-    pub(crate) answers: Vec<bool>,
+    pub(crate) answers: AnswerBits,
 }
 
 /// Durable lifecycle counters recovered from the log.
@@ -1036,7 +1036,7 @@ impl ReplayState {
             generation,
             plan,
             kind,
-            answers: Vec::new(),
+            answers: AnswerBits::new(),
         };
         let slot = &mut self.sessions[index as usize];
         match slot {
@@ -1059,11 +1059,17 @@ impl ReplayState {
         }
     }
 
-    /// Folds answers `first_seq..first_seq + run.len()` of one session,
-    /// exactly as one [`WalEvent::Answered`] per answer in order would:
-    /// positions already held are duplicates from an overlap window and
-    /// skip, and a run starting past the held history is a gap.
-    fn answer_run(&mut self, index: u32, generation: u32, first_seq: usize, run: &[bool]) {
+    /// Folds the answers of `run`, numbered from `first_seq`, into one
+    /// session exactly as one [`WalEvent::Answered`] per answer in order
+    /// would: positions already held are duplicates from an overlap window
+    /// and skip, and a run starting past the held history is a gap.
+    fn answer_run(
+        &mut self,
+        index: u32,
+        generation: u32,
+        first_seq: usize,
+        run: impl IntoIterator<Item = bool>,
+    ) {
         self.note_gen(index, generation);
         let Some(session) = self.sessions[index as usize]
             .as_mut()
@@ -1076,8 +1082,10 @@ impl ReplayState {
             self.anomalies.push(format!(
                 "slot {index} gen {generation}: answer seq {first_seq} skips ahead of {held}"
             ));
-        } else if let Some(new) = run.get(held - first_seq..) {
-            session.answers.extend_from_slice(new);
+        } else {
+            session
+                .answers
+                .extend(run.into_iter().skip(held - first_seq));
         }
     }
 
@@ -1133,14 +1141,14 @@ impl ReplayState {
                 answers,
             } => {
                 self.open(*index, *generation, *plan, *kind);
-                self.answer_run(*index, *generation, 0, answers);
+                self.answer_run(*index, *generation, 0, answers.iter());
             }
             WalEvent::Answered {
                 index,
                 generation,
                 seq,
                 yes,
-            } => self.answer_run(*index, *generation, *seq as usize, &[*yes]),
+            } => self.answer_run(*index, *generation, *seq as usize, [*yes]),
             WalEvent::Finished { index, generation } => {
                 self.retire(*index, *generation, |c| &mut c.finished);
             }
@@ -1284,7 +1292,7 @@ mod tests {
             rs.apply(ev);
         }
         let s = rs.sessions[0].as_ref().unwrap();
-        assert_eq!(s.answers, vec![true, false, true]);
+        assert_eq!(s.answers.iter().collect::<Vec<_>>(), [true, false, true]);
         assert_eq!(rs.counters.opened, 1);
         assert!(rs.anomalies.is_empty());
 
@@ -1394,7 +1402,7 @@ mod tests {
         }
         let session = rs.sessions[3]
             .as_ref()
-            .map(|s| (s.generation, s.plan, s.kind, s.answers.clone()));
+            .map(|s| (s.generation, s.plan, s.kind, s.answers.iter().collect()));
         assert_eq!(rs.max_gen[3], Some(5));
         (session, rs.counters.opened, rs.anomalies)
     }
@@ -1443,7 +1451,7 @@ mod tests {
                 generation,
                 plan,
                 kind,
-                answers: history.clone(),
+                answers: history.iter().copied().collect(),
             });
             snapshot.extend(tail.iter().cloned());
             let mut legacy = before;

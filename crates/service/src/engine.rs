@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use aigs_core::{
-    CompiledConfig, CompiledCursor, CompiledPlan, CoreError, SearchOutcome, SessionStep,
-    SessionStepper,
+    AnswerBits, CompiledConfig, CompiledCursor, CompiledPlan, CoreError, SearchOutcome,
+    SessionStep, SessionStepper,
 };
 use aigs_data::wal::{SessionWal, WalEvent, WAL_VERSION};
 use aigs_testutil::failpoints::{self, FaultAction};
@@ -288,10 +288,10 @@ struct LiveSession {
     plan_index: u32,
     kind: PolicyKind,
     core: SessionCore,
-    /// The acknowledged answer history — with the plan and kind, the
-    /// session's complete durable state (questions re-derive
+    /// The acknowledged answer history, one bit per answer — with the plan
+    /// and kind, the session's complete durable state (questions re-derive
     /// deterministically on replay).
-    answers: Vec<bool>,
+    answers: AnswerBits,
 }
 
 impl LiveSession {
@@ -1068,7 +1068,7 @@ impl SearchEngine {
             plan_index: plan.index,
             kind,
             core,
-            answers: Vec::new(),
+            answers: AnswerBits::new(),
         };
         let local = allocate_slot(shard);
         let generation = {
@@ -1205,7 +1205,7 @@ impl SearchEngine {
                                 policy.as_mut(),
                                 &plan.ctx(),
                                 max_queries,
-                                answers,
+                                answers.iter(),
                             )?;
                             *core = SessionCore::Live { policy, stepper };
                             telemetry::Tier::Fallback
@@ -2279,7 +2279,7 @@ fn restore_session(
     // replayed live — the transcript is bit-identical either way.
     if code_is_compiled(rsess.kind) {
         if let Some(tree) = compiled_tree_for(tier, &plan, kind) {
-            if let Ok(cursor) = tree.replay(&plan.ctx(), max_queries, &rsess.answers) {
+            if let Ok(cursor) = tree.replay(&plan.ctx(), max_queries, rsess.answers.iter()) {
                 if !cursor.needs_fallback() {
                     return Ok(LiveSession {
                         plan,
@@ -2294,7 +2294,12 @@ fn restore_session(
     }
     let (mut policy, _) = plan.acquire(kind);
     let replayed = catch_unwind(AssertUnwindSafe(|| {
-        SessionStepper::replay(policy.as_mut(), &plan.ctx(), max_queries, &rsess.answers)
+        SessionStepper::replay(
+            policy.as_mut(),
+            &plan.ctx(),
+            max_queries,
+            rsess.answers.iter(),
+        )
     }));
     let stepper = match replayed {
         Ok(Ok(s)) => s,

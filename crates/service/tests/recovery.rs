@@ -588,7 +588,7 @@ fn rewrite_logs(from: &std::path::Path, to: &std::path::Path, version: u16) -> u
                             kind,
                         })
                         .unwrap();
-                        for (seq, yes) in answers.into_iter().enumerate() {
+                        for (seq, yes) in answers.iter().enumerate() {
                             wal.append(&WalEvent::Answered {
                                 index,
                                 generation,
